@@ -10,8 +10,8 @@ measure
 * **parallel scaling** — the Figure 2 Low-End grid (BBR + Cubic over
   {1, 5, 10, 20} connections) at ``jobs=1`` versus ``jobs=N``;
 * **timer-churn microbenchmark** — hundreds of concurrent re-arming
-  timers, measured with the timer wheel on and off (the wheel's O(1)
-  cancel is exactly what this workload stresses);
+  timers, the cancel-and-re-arm pattern that stresses the event heap's
+  lazy deletion and compaction;
 * **allocation microbenchmark** — ``tracemalloc`` peak plus packet-pool
   reuse statistics for one canonical run (the zero-allocation hot path's
   scoreboard);
@@ -178,24 +178,23 @@ def measure_parallel_scaling(duration_s: float, warmup_s: float) -> Dict[str, ob
     }
 
 
-def _timer_churn_rate(wheel: bool, n_timers: int, rounds: int) -> Dict[str, float]:
-    """Re-arm *n_timers* RTO-style timers *rounds* times each.
+def measure_timer_churn(quick: bool) -> Dict[str, object]:
+    """Re-arm hundreds of RTO-style timers and report the re-arm rate.
 
     Models the dominant hrtimer pattern in the stack: every ACK re-arms
     the connection's RTO ~200 ms out, so the previously armed expiry is
-    cancelled long before it fires. The driver events ride the heap
-    (sub-cutoff delays) in both configurations; only the RTO arms are
-    routed differently, isolating the cancel cost under test. On the
-    heap, each cancelled expiry lingers as lazy-deletion debt until
-    compaction; the wheel deletes it from its bucket immediately.
+    cancelled long before it fires. Each cancelled expiry lingers in the
+    event heap as lazy-deletion debt until compaction drops it, so the
+    compaction count is recorded next to the rate.
     """
-    loop = EventLoop(wheel=wheel)
+    n_timers, rounds = (200, 100) if quick else (500, 600)
+    loop = EventLoop()
     timers = [Timer(loop, lambda: None) for _ in range(n_timers)]
     rearms = 0
 
     def drive(idx: int, remaining: int) -> None:
         nonlocal rearms
-        timers[idx].start(200_000_000 + idx)  # RTO-scale: wheel-routed
+        timers[idx].start(200_000_000 + idx)  # RTO-scale horizon
         rearms += 1
         if remaining > 1:
             loop.call_after(300_000 + (idx % 11) * 1_000, drive, idx, remaining - 1)
@@ -205,31 +204,15 @@ def _timer_churn_rate(wheel: bool, n_timers: int, rounds: int) -> Dict[str, floa
     t0 = time.perf_counter()
     loop.run()
     wall = time.perf_counter() - t0
-    return {
+    heap = {
         "fires": sum(t.fire_count for t in timers),
         "compactions": loop.compactions,
         "rearms_per_sec": round(rearms / wall, 1) if wall > 0 else 0.0,
         "wall_s": round(wall, 4),
     }
-
-
-def measure_timer_churn(quick: bool) -> Dict[str, object]:
-    """Wheel-on vs wheel-off rates for the timer re-arm workload."""
-    n_timers, rounds = (200, 100) if quick else (500, 600)
-    wheel = _timer_churn_rate(True, n_timers, rounds)
-    heap = _timer_churn_rate(False, n_timers, rounds)
-    ratio = (wheel["rearms_per_sec"] / heap["rearms_per_sec"]
-             if heap["rearms_per_sec"] else 0.0)
-    print(f"  wheel: {wheel['rearms_per_sec']:,.0f} re-arms/s   "
-          f"heap: {heap['rearms_per_sec']:,.0f} re-arms/s   "
-          f"(x{ratio:.2f})")
-    return {
-        "timers": n_timers,
-        "rounds": rounds,
-        "wheel": wheel,
-        "heap": heap,
-        "wheel_vs_heap": round(ratio, 3),
-    }
+    print(f"  heap: {heap['rearms_per_sec']:,.0f} re-arms/s   "
+          f"({heap['compactions']} compactions)")
+    return {"timers": n_timers, "rounds": rounds, "heap": heap}
 
 
 def measure_result_cache(quick: bool) -> Dict[str, object]:
@@ -640,7 +623,7 @@ def main(argv=None) -> int:
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         head = perf_trend.git_head(repo_root)
         micro_rates = {
-            "timer_wheel_rearms_per_sec": churn["wheel"]["rearms_per_sec"],
+            "timer_rearms_per_sec": churn["heap"]["rearms_per_sec"],
             "flow_churn_events_per_sec": flow_churn["events_per_sec"],
         }
         appended = perf_trend.append_history(

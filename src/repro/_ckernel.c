@@ -21,10 +21,11 @@
  *      rounding mode; Python int() truncation == C double->int64 cast
  *      for the non-negative values used here).
  *
- * Unlike the pure loop there is no timer wheel: a single binary heap
- * with lazy deletion gives the same total (when, seq) order (the wheel
- * is a routing optimization, not an ordering feature), and C heap ops
- * are cheap enough that bucketing would only add constant factors.
+ * The scheduler is the pure loop's design in C: a single binary heap of
+ * (when, seq) entries, lazy deletion on cancel, and the same compaction
+ * rule (repro.sim.engine._note_cancelled; only the floor differs, since
+ * a buried entry here is a plain struct), so both kernels produce the
+ * same total order from the same structure.
  *
  * Internal event kinds (CPU completion, link/queue tx-done, timer fire,
  * one-arg calls) carry no Python Event object and no args tuple — the
@@ -398,7 +399,8 @@ loop_compact(CLoop *self)
     self->compactions += 1;
 }
 
-/* mirror of EventLoop._note_cancelled's compaction policy */
+/* EventLoop._note_cancelled's compaction policy; the pure floor is lower
+ * because its buried entries are GC-tracked Python objects */
 #define COMPACT_MIN 512
 
 static void

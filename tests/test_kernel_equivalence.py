@@ -3,9 +3,9 @@
 The pure-python simulator is the behavioral reference; the C extension
 (:mod:`repro._ckernel`) must be *bit-identical* — same event order, same
 seq tie-breaks, same float expressions. The property-style tests drive
-both backends through the same randomized loop workload (same seeds as
-``test_sim_wheel.py``) and through full experiments (scalar metrics,
-event counts, probe time series compared for exact equality).
+both backends through the same randomized loop workload and through
+full experiments (scalar metrics, event counts, probe time series
+compared for exact equality).
 
 Everything else here covers the graceful degradation paths: the
 extension being absent at import time, instrumented runs, and the C
@@ -35,7 +35,6 @@ from repro import (
 from repro.kernel import KERNEL_ENV_VAR, KERNELS, compiled_for, resolve_kernel
 from repro.netsim import MEDIA
 from repro.sim import EventLoop, SimulationError
-from repro.sim.engine import _WHEEL_MIN_DELAY_NS
 from repro.tcp.rate_sample import DeliveryRateEstimator
 from repro.tcp.rtt import MinRttFilter, RttEstimator
 from repro.tcp.scoreboard import Scoreboard
@@ -59,15 +58,17 @@ def kernel_env(monkeypatch):
     return select
 
 
-# -- loop-level equivalence (same workload as test_sim_wheel.py) ---------------
+# -- loop-level equivalence ------------------------------------------------------
+
+#: boundary between the workload's short (fire-path) and long (timer-class) delays
+_SHORT_DELAY_NS = 1 << 21
 
 
 def _run_workload(loop, seed: int) -> list:
     """Drive *loop* through a deterministic random schedule/cancel workload.
 
-    Identical to the wheel-vs-heap property test: both backends must
-    consume the RNG in the same order, so any divergence in fire order
-    or timing shows up as a log mismatch.
+    Both backends must consume the RNG in the same order, so any
+    divergence in fire order or timing shows up as a log mismatch.
     """
     rng = random.Random(seed)
     log = []
@@ -77,9 +78,9 @@ def _run_workload(loop, seed: int) -> list:
     def pick_delay() -> int:
         bucket = rng.random()
         if bucket < 0.4:
-            return rng.randrange(0, _WHEEL_MIN_DELAY_NS)
+            return rng.randrange(0, _SHORT_DELAY_NS)
         if bucket < 0.8:
-            return rng.randrange(_WHEEL_MIN_DELAY_NS, 40_000_000)
+            return rng.randrange(_SHORT_DELAY_NS, 40_000_000)
         return rng.randrange(40_000_000, 600_000_000)
 
     def schedule() -> None:

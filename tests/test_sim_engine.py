@@ -1,8 +1,27 @@
 """Unit tests for the discrete-event engine."""
 
+import bisect
+import random
+
 import pytest
 
+from repro.kernel import KERNELS
 from repro.sim import EventLoop, SimulationError
+
+_COMPILED = KERNELS.get("compiled")
+
+#: the pure loop and, when the extension is built, the compiled one
+LOOP_FACTORIES = [
+    pytest.param(EventLoop, id="pure"),
+    pytest.param(
+        _COMPILED.make_loop,
+        id="compiled",
+        marks=pytest.mark.skipif(
+            not _COMPILED.available,
+            reason=f"compiled kernel not built ({_COMPILED.why_unavailable})",
+        ),
+    ),
+]
 
 
 def test_starts_at_time_zero(loop):
@@ -122,6 +141,35 @@ def test_max_events_guard(loop):
         loop.run(max_events=100)
 
 
+def test_max_events_overrun_still_counts_processed_events(loop):
+    """events_processed must reflect work done even when the guard trips.
+
+    Regression: the dispatch loop folds its local counter into
+    events_processed in a finally block, so the SimulationError raised
+    by the max_events valve must not lose the count.
+    """
+
+    def reschedule():
+        loop.call_after(1, reschedule)
+
+    loop.call_after(1, reschedule)
+    with pytest.raises(SimulationError):
+        loop.run(max_events=100)
+    assert loop.events_processed == 100
+
+
+def test_max_events_accumulates_across_runs(loop):
+    for i in range(10):
+        loop.call_after(i + 1, lambda: None)
+    loop.run(max_events=50)
+    assert loop.events_processed == 10
+    for i in range(10):
+        loop.call_after(i + 1, lambda: None)
+    with pytest.raises(SimulationError):
+        loop.run(max_events=5)
+    assert loop.events_processed == 15
+
+
 def test_events_processed_counter(loop):
     for i in range(5):
         loop.call_after(i + 1, lambda: None)
@@ -169,17 +217,16 @@ def test_cancel_after_fire_is_noop(loop):
     assert not event.pending
 
 
-def test_heap_growth_bounded_under_timer_rearm_churn():
+def test_heap_growth_bounded_under_timer_rearm_churn(loop):
     """Re-arming a timer 20k times must not grow the heap by 20k entries.
 
     This is the pacing/RTO pattern: each re-arm cancels the previous
-    far-future event and pushes a new one. On a heap-only loop, lazy
-    deletion alone would accumulate every cancelled entry until its
-    expiry; compaction keeps heap size proportional to the live count.
+    far-future event and pushes a new one. Lazy deletion alone would
+    accumulate every cancelled entry until its expiry; compaction keeps
+    heap size proportional to the live count.
     """
     from repro.sim.timer import Timer
 
-    loop = EventLoop(wheel=False)
     timer = Timer(loop, lambda: None)
     for i in range(20_000):
         timer.start(1_000_000 + i)  # always re-armed into the far future
@@ -187,24 +234,6 @@ def test_heap_growth_bounded_under_timer_rearm_churn():
     # Compaction bounds the heap at ~2x the compaction floor, not 20k.
     assert len(loop._heap) < 2_000
     assert loop.compactions > 0
-
-
-def test_wheel_absorbs_timer_rearm_churn_with_no_debt():
-    """With the wheel on (the default), the same churn leaves zero debt.
-
-    Each cancel is a true O(1) bucket delete, so neither the heap nor
-    the wheel accumulates cancelled entries and compaction never runs.
-    """
-    from repro.sim.timer import Timer
-
-    loop = EventLoop()
-    timer = Timer(loop, lambda: None)
-    for i in range(20_000):
-        timer.start(200_000_000 + i)  # RTO-scale horizon: wheel-routed
-    assert loop.pending_count() == 1
-    assert len(loop._heap) == 0
-    assert loop._wheel.live_count() == 1
-    assert loop.compactions == 0
 
 
 def test_compaction_preserves_firing_order(loop):
@@ -223,10 +252,7 @@ def test_compaction_preserves_firing_order(loop):
     assert seen == list(range(600))
 
 
-def test_explicit_compact_drops_cancelled_entries():
-    # Heap-only loop: compaction is a heap concern (wheel cancels are
-    # hard deletes and leave nothing to compact).
-    loop = EventLoop(wheel=False)
+def test_explicit_compact_drops_cancelled_entries(loop):
     live = loop.call_after(100, lambda: None)
     dead = [loop.call_after(200 + i, lambda: None) for i in range(50)]
     for e in dead:
@@ -238,11 +264,86 @@ def test_explicit_compact_drops_cancelled_entries():
     assert live.pending
 
 
-def test_peek_next_time_updates_cancel_accounting():
-    loop = EventLoop(wheel=False)
+def test_peek_next_time_updates_cancel_accounting(loop):
     first = loop.call_after(10, lambda: None)
     loop.call_after(20, lambda: None)
     first.cancel()
     assert loop.peek_next_time() == 20
     assert loop.pending_count() == 1
     assert len(loop._heap) == 1
+
+
+# -- firing order against a sorted-list model -----------------------------------
+
+
+@pytest.mark.parametrize("make_loop", LOOP_FACTORIES)
+@pytest.mark.parametrize("seed", [7, 23, 1009])
+def test_firing_order_matches_sorted_list_model(make_loop, seed):
+    """Every fire is the minimum ``(when, seq)`` among the live schedules.
+
+    The model is a plain sorted list of ``(when, seq)`` with *seq* counted
+    here, one per schedule call, and passed to the callback so a fire
+    identifies its own entry. The workload mixes sub-ms and
+    multi-ms delays, exact time ties, cancels and cancel-then-re-arm, and
+    cancels enough to push the heap through several compactions.
+    """
+    loop = make_loop()
+    rng = random.Random(seed)
+    model = []  # sorted (when, seq) of live schedules
+    events = {}  # seq -> (Event, model entry)
+    fired = []
+    next_seq = [0]
+
+    def pick_delay() -> int:
+        roll = rng.random()
+        if roll < 0.1:
+            return rng.choice((0, 1_000, 1 << 21))  # exact ties
+        if roll < 0.4:
+            return rng.randrange(0, 1 << 21)
+        if roll < 0.8:
+            return rng.randrange(1 << 21, 40_000_000)
+        return rng.randrange(40_000_000, 600_000_000)
+
+    def schedule() -> None:
+        next_seq[0] += 1
+        seq = next_seq[0]
+        delay = pick_delay()
+        entry = (loop.now + delay, seq)
+        bisect.insort(model, entry)
+        events[seq] = (loop.call_after(delay, fire, seq), entry)
+
+    def cancel_random() -> None:
+        event, entry = events.pop(rng.choice(sorted(events)))
+        event.cancel()
+        model.remove(entry)
+
+    def fire(seq: int) -> None:
+        assert model, "loop fired an event the model does not hold"
+        assert (loop.now, seq) == model[0]
+        fired.append(model.pop(0))
+        del events[seq]
+        roll = rng.random()
+        if roll < 0.55:
+            schedule()
+        if roll < 0.25 and events:
+            cancel_random()
+        elif roll < 0.45 and events:
+            cancel_random()
+            schedule()  # re-arm, the hrtimer pattern
+
+    for _ in range(60):
+        schedule()
+    # A burst of far timers cancelled at once: past _COMPACT_MIN, so the
+    # heap is rebuilt mid-workload.
+    for _ in range(1_500):
+        schedule()
+    for _ in range(1_400):
+        cancel_random()
+    horizon = 3_000_000_000
+    loop.run(until=horizon)
+    assert len(fired) > 200
+    assert fired == sorted(fired)
+    assert loop.compactions > 0
+    assert loop.events_processed == len(fired)
+    assert loop.pending_count() == len(model)
+    assert all(when > horizon for when, _ in model)
