@@ -17,93 +17,7 @@ experiment API (``repro.core``). Quick start::
     print(result.goodput_mbps)
 """
 
-from .core import (
-    AdaptiveStrideController,
-    ExperimentResult,
-    ExperimentSpec,
-    FlowSpec,
-    PAPER_STRIDES,
-    ReplicatedResult,
-    StrideRow,
-    canonical_spec_json,
-    expand_scenario,
-    expand_scenario_dicts,
-    expected_throughput_bps,
-    flow_from_dict,
-    flow_to_dict,
-    idle_time_ns,
-    load_scenario,
-    load_scenario_doc,
-    make_cc_factory,
-    resolve_flows,
-    run_experiment,
-    run_replicated,
-    spec_digest,
-    spec_from_dict,
-    spec_to_dict,
-    sweep_strides,
-)
-from .metrics import goodput_shares, jain_fairness_index
-from .cache import (
-    CacheStats,
-    ResultCache,
-    code_fingerprint,
-    default_cache_dir,
-    kernel_fingerprint,
-    resolve_cache,
-)
-from .kernel import KERNELS, compiled_components, kernel_info, resolve_kernel
-from .dist import (
-    DistributedSweepError,
-    TaskQueue,
-    WorkerReport,
-    run_distributed,
-    run_worker,
-)
-from .cc import CC_ALGORITHMS
-from .cpu import EXECUTORS
-from .devices import CPU_CONFIGS, DEVICES, PIXEL_4, PIXEL_6, CpuConfig, DeviceProfile
-from .netsim import ETHERNET_LAN, LTE_CELLULAR, MEDIA, WIFI_LAN, NetemConfig
-from .obs import (
-    DistMonitor,
-    GridMonitor,
-    PROBES,
-    ProbeSet,
-    RunLedger,
-    SimProfiler,
-    TimeSeries,
-    diff_records,
-    export_chrome_trace,
-    export_jsonl,
-    load_jsonl,
-    merge_ledgers,
-    resolve_ledger,
-    validate_chrome_trace,
-    validate_jsonl,
-    validate_openmetrics,
-)
-from .sim import Tracer
-from .registry import (
-    DuplicateNameError,
-    Registry,
-    RegistryError,
-    UnknownNameError,
-    all_registries,
-)
-from .runner import (
-    ExperimentGridError,
-    GridPointError,
-    GridReport,
-    resolve_chunk,
-    resolve_jobs,
-    resolve_worker_jobs,
-    run_grid,
-    run_grid_report,
-    run_replicated_grid,
-    run_replicated_grid_report,
-    run_replicated_parallel,
-)
-from .tcp.pacing import PacingMode
+from .registry import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -198,3 +112,97 @@ __all__ = [
     "run_replicated_grid_report",
     "run_replicated_parallel",
 ]
+
+# Every public name, by the submodule that defines it. Nothing is
+# imported until a name is used: ``import repro`` (and so every CLI
+# command, cache probe and ledger query) loads none of the simulator.
+_SUBMODULES = {
+    ".cache": (
+        "CacheStats",
+        "ResultCache",
+        "code_fingerprint",
+        "default_cache_dir",
+        "kernel_fingerprint",
+        "resolve_cache",
+    ),
+    ".cc": ("CC_ALGORITHMS",),
+    ".core.analysis": ("StrideRow", "expected_throughput_bps", "idle_time_ns"),
+    ".core.experiment": ("make_cc_factory", "run_experiment", "run_replicated"),
+    ".core.flows": ("FlowSpec", "resolve_flows"),
+    ".core.scenario": (
+        "expand_scenario",
+        "expand_scenario_dicts",
+        "load_scenario",
+        "load_scenario_doc",
+    ),
+    ".core.spec": (
+        "ExperimentResult",
+        "ExperimentSpec",
+        "PacingMode",
+        "ReplicatedResult",
+        "canonical_spec_json",
+        "flow_from_dict",
+        "flow_to_dict",
+        "spec_digest",
+        "spec_from_dict",
+        "spec_to_dict",
+    ),
+    ".core.stride": ("PAPER_STRIDES", "AdaptiveStrideController", "sweep_strides"),
+    ".cpu": ("EXECUTORS",),
+    ".devices.profiles": (
+        "CPU_CONFIGS",
+        "DEVICES",
+        "PIXEL_4",
+        "PIXEL_6",
+        "CpuConfig",
+        "DeviceProfile",
+    ),
+    ".dist.coordinator": ("DistributedSweepError", "run_distributed"),
+    ".dist.queue": ("TaskQueue",),
+    ".dist.worker": ("WorkerReport", "run_worker"),
+    ".kernel": ("KERNELS", "compiled_components", "kernel_info", "resolve_kernel"),
+    ".metrics.fairness": ("goodput_shares", "jain_fairness_index"),
+    ".netsim.profiles": (
+        "ETHERNET_LAN",
+        "LTE_CELLULAR",
+        "MEDIA",
+        "WIFI_LAN",
+        "NetemConfig",
+    ),
+    ".obs": ("PROBES",),
+    ".obs.ledger": ("RunLedger", "diff_records", "merge_ledgers", "resolve_ledger"),
+    ".obs.live": ("DistMonitor", "GridMonitor", "validate_openmetrics"),
+    ".obs.probes": ("ProbeSet",),
+    ".obs.profiler": ("SimProfiler",),
+    ".obs.series": ("TimeSeries",),
+    ".obs.trace_export": (
+        "export_chrome_trace",
+        "export_jsonl",
+        "load_jsonl",
+        "validate_chrome_trace",
+        "validate_jsonl",
+    ),
+    ".registry": (
+        "DuplicateNameError",
+        "Registry",
+        "RegistryError",
+        "UnknownNameError",
+        "all_registries",
+    ),
+    ".runner": (
+        "ExperimentGridError",
+        "GridPointError",
+        "GridReport",
+        "resolve_chunk",
+        "resolve_jobs",
+        "resolve_worker_jobs",
+        "run_grid",
+        "run_grid_report",
+        "run_replicated_grid",
+        "run_replicated_grid_report",
+        "run_replicated_parallel",
+    ),
+    ".sim.trace": ("Tracer",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES, globals())

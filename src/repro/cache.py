@@ -44,8 +44,13 @@ import tempfile
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Union
 
-from .core.experiment import ExperimentResult, ExperimentSpec
-from .core.scenario import spec_digest, spec_from_dict, spec_to_dict
+from .core.spec import (
+    ExperimentResult,
+    ExperimentSpec,
+    spec_digest,
+    spec_from_dict,
+    spec_to_dict,
+)
 from .obs.series import TimeSeries
 
 __all__ = [

@@ -9,14 +9,7 @@ name, and new algorithms (e.g. a BBRv3 variant) become available
 everywhere by registering a factory here.
 """
 
-from ..registry import Registry
-from .base import CongestionOps
-from .bbr import Bbr
-from .bbr2 import Bbr2
-from .cubic import Cubic
-from .master import MasterModule
-from .minmax import WindowedMaxFilter
-from .reno import Reno
+from ..registry import Registry, lazy_exports
 
 __all__ = [
     "CongestionOps",
@@ -30,8 +23,21 @@ __all__ = [
 ]
 
 #: name -> zero-argument factory producing a fresh per-connection module
+#: (by reference: listing the names imports no algorithm)
 CC_ALGORITHMS: Registry = Registry("congestion control")
-CC_ALGORITHMS.register("cubic", Cubic)
-CC_ALGORITHMS.register("bbr", Bbr)
-CC_ALGORITHMS.register("bbr2", Bbr2)
-CC_ALGORITHMS.register("reno", Reno)
+CC_ALGORITHMS.register_ref("cubic", "repro.cc.cubic:Cubic")
+CC_ALGORITHMS.register_ref("bbr", "repro.cc.bbr:Bbr")
+CC_ALGORITHMS.register_ref("bbr2", "repro.cc.bbr2:Bbr2")
+CC_ALGORITHMS.register_ref("reno", "repro.cc.reno:Reno")
+
+_SUBMODULES = {
+    ".base": ("CongestionOps",),
+    ".bbr": ("Bbr",),
+    ".bbr2": ("Bbr2",),
+    ".cubic": ("Cubic",),
+    ".master": ("MasterModule",),
+    ".minmax": ("WindowedMaxFilter",),
+    ".reno": ("Reno",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES, globals())

@@ -55,317 +55,258 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
-from typing import Dict, List, Optional
-
 import time
+from typing import IO, TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
 
-from . import (
-    CC_ALGORITHMS,
-    CPU_CONFIGS,
-    CpuConfig,
-    DEVICES,
-    DistMonitor,
-    ExperimentSpec,
-    GridMonitor,
-    KERNELS,
-    MEDIA,
-    NetemConfig,
-    PROBES,
-    PacingMode,
-    ReplicatedResult,
-    ResultCache,
-    RunLedger,
-    SimProfiler,
-    TimeSeries,
-    Tracer,
-    all_registries,
-    diff_records,
-    expand_scenario,
-    export_chrome_trace,
-    export_jsonl,
-    load_scenario_doc,
-    merge_ledgers,
-    resolve_jobs,
-    resolve_kernel,
-    run_distributed,
-    run_experiment,
-    run_replicated_grid_report,
-    run_worker,
-    sweep_strides,
-)
-from .dist import DistributedSweepError, default_queue_dir, grid_digest
-from .dist.worker import WorkerError
-from .kernel import KERNEL_ENV_VAR, compiled_components
-from .metrics import RunSet, render_series, render_table
+if TYPE_CHECKING:
+    from .core.spec import ExperimentSpec, ReplicatedResult
+    from .obs.live import GridMonitor
+    from .obs.series import TimeSeries
 
 __all__ = ["main", "build_parser"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce 'Are Mobiles Ready for BBR?' experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common_arguments(p: argparse.ArgumentParser) -> None:
+    """Flags shared by run, compare and sweep-strides."""
+    from .devices.profiles import CPU_CONFIGS, DEVICES, CpuConfig
+    from .kernel import KERNELS
+    from .netsim.profiles import MEDIA
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--connections", "-P", type=int, default=1,
-                       help="parallel uplink connections (iperf3 -P)")
-        p.add_argument("--config", choices=CPU_CONFIGS.names(),
-                       default=CpuConfig.LOW_END, help="Table 1 CPU config")
-        p.add_argument("--device", choices=DEVICES.names(),
-                       default="pixel4")
-        p.add_argument("--medium", choices=MEDIA.names(),
-                       default="ethernet")
-        p.add_argument("--duration", type=float, default=8.0,
-                       help="simulated seconds per run")
-        p.add_argument("--warmup", type=float, default=2.0,
-                       help="warmup excluded from measurement")
-        p.add_argument("--runs", type=int, default=1,
-                       help="seeded replications to average")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--jobs", "-j", type=int, default=None,
-                       help="worker processes for grid/replication fan-out "
-                            "(default: $REPRO_JOBS, then CPU count)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="recompute every point instead of consulting "
-                            "the on-disk result cache")
-        p.add_argument("--chunk", type=int, default=None,
-                       help="specs batched per worker task (default: "
-                            "$REPRO_CHUNK, then auto-sized from the grid)")
-        p.add_argument("--kernel", choices=KERNELS.names(), default=None,
-                       help="simulation-kernel backend (default: "
-                            "$REPRO_KERNEL, then pure); instrumented runs "
-                            "fall back to pure")
-        p.add_argument("--rate-limit-mbps", type=float, default=None,
-                       help="tc rate limit on the router's server port")
-        p.add_argument("--buffer-segments", type=int, default=None,
-                       help="router egress buffer depth (segments)")
-        p.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON")
+    p.add_argument("--connections", "-P", type=int, default=1,
+                   help="parallel uplink connections (iperf3 -P)")
+    p.add_argument("--config", choices=CPU_CONFIGS.names(),
+                   default=CpuConfig.LOW_END, help="Table 1 CPU config")
+    p.add_argument("--device", choices=DEVICES.names(), default="pixel4")
+    p.add_argument("--medium", choices=MEDIA.names(), default="ethernet")
+    p.add_argument("--duration", type=float, default=8.0,
+                   help="simulated seconds per run")
+    p.add_argument("--warmup", type=float, default=2.0,
+                   help="warmup excluded from measurement")
+    p.add_argument("--runs", type=int, default=1,
+                   help="seeded replications to average")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--jobs", "-j", type=int, default=None,
+                   help="worker processes for grid/replication fan-out "
+                        "(default: $REPRO_JOBS, then CPU count)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="recompute every point instead of consulting "
+                        "the on-disk result cache")
+    p.add_argument("--chunk", type=int, default=None,
+                   help="specs batched per worker task (default: "
+                        "$REPRO_CHUNK, then auto-sized from the grid)")
+    p.add_argument("--kernel", choices=KERNELS.names(), default=None,
+                   help="simulation-kernel backend (default: $REPRO_KERNEL, "
+                        "then pure); instrumented runs fall back to pure")
+    p.add_argument("--rate-limit-mbps", type=float, default=None,
+                   help="tc rate limit on the router's server port")
+    p.add_argument("--buffer-segments", type=int, default=None,
+                   help="router egress buffer depth (segments)")
+    p.add_argument("--json", action="store_true",
+                   help="emit machine-readable JSON")
 
-    run_p = sub.add_parser("run", help="run one experiment")
-    add_common(run_p)
-    run_p.add_argument("--cc", choices=CC_ALGORITHMS.names(),
-                       default="bbr")
-    run_p.add_argument("--pacing", choices=PacingMode.ALL,
-                       default=PacingMode.AUTO)
-    run_p.add_argument("--stride", type=float, default=1.0,
-                       help="pacing stride (paper Eq. 2)")
-    run_p.add_argument("--fixed-cwnd", type=int, default=None,
-                       help="master module: pin cwnd (segments)")
-    run_p.add_argument("--fixed-pacing-mbps", type=float, default=None,
-                       help="master module: pin the pacing rate")
-    run_p.add_argument("--disable-model", action="store_true",
-                       help="master module: skip the CC model's per-ACK work")
-    run_p.add_argument("--scenario", metavar="FILE", default=None,
-                       help="single-point scenario file; overrides the "
-                            "spec flags above (multi-point files need "
-                            "'repro grid')")
-    run_p.add_argument("--probe", action="append", default=None,
-                       metavar="NAME",
-                       help="record a time-series probe (repeatable; "
-                            "'all' selects every registered probe; see "
-                            "'repro list')")
-    run_p.add_argument("--series-out", metavar="FILE", default=None,
-                       help="write probe time series as JSON "
-                            "(render with 'repro report FILE')")
-    run_p.add_argument("--trace-out", metavar="FILE", default=None,
-                       help="write the component trace as JSONL "
-                            "(forces a single in-process run)")
-    run_p.add_argument("--chrome-trace", metavar="FILE", default=None,
-                       help="write a Chrome trace-event JSON loadable "
-                            "in Perfetto (forces a single in-process run)")
-    run_p.add_argument("--trace-category", action="append", default=None,
-                       metavar="GLOB",
-                       help="only trace sources matching this glob "
-                            "(repeatable; e.g. 'cc-*', 'little*')")
-    run_p.add_argument("--profile", action="store_true",
-                       help="profile the event loop per callback type "
-                            "(forces a single in-process run)")
 
-    grid_p = sub.add_parser(
-        "grid", help="run every point of a declarative scenario file")
-    grid_p.add_argument("--scenario", metavar="FILE", required=True,
-                        help="JSON scenario (base + grid + overrides)")
-    grid_p.add_argument("--runs", type=int, default=1,
-                        help="seeded replications to average per point")
-    grid_p.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker processes (default: $REPRO_JOBS, "
-                             "then CPU count)")
-    grid_p.add_argument("--no-cache", action="store_true",
-                        help="recompute every point instead of consulting "
-                             "the on-disk result cache")
-    grid_p.add_argument("--chunk", type=int, default=None,
-                        help="specs batched per worker task (default: "
-                             "$REPRO_CHUNK, then auto-sized from the grid)")
-    grid_p.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
-    grid_p.add_argument("--live", action="store_true",
-                        help="render a live progress line on stderr: points "
-                             "done, chunks, cache hits, events/sec, ETA")
-    grid_p.add_argument("--metrics-out", metavar="FILE", default=None,
-                        help="write the final grid telemetry as OpenMetrics "
-                             "text")
-    grid_p.add_argument("--progress-out", metavar="FILE", default=None,
-                        help="write the raw worker progress events as JSONL")
+def _add_run_arguments(p: argparse.ArgumentParser) -> None:
+    from .cc import CC_ALGORITHMS
+    from .core.spec import PacingMode
 
-    sweep_grid_p = sub.add_parser(
-        "sweep", help="run a scenario grid, optionally sharded across "
-                      "distributed pull-workers over a shared cache")
-    sweep_grid_p.add_argument("--scenario", metavar="FILE", required=True,
-                              help="JSON scenario (base + grid + overrides)")
-    sweep_grid_p.add_argument("--distributed", action="store_true",
-                              help="shard the grid into a shared task queue "
-                                   "for 'repro worker --pull' processes "
-                                   "(the shared result cache carries the "
-                                   "results and makes the sweep resumable)")
-    sweep_grid_p.add_argument("--queue", metavar="DIR", default=None,
-                              help="queue directory (default: a per-sweep "
-                                   "directory under the cache root; must be "
-                                   "on a filesystem every worker mounts)")
-    sweep_grid_p.add_argument("--workers", type=int, default=0,
-                              help="local pull-workers to spawn (0: only "
-                                   "coordinate — start workers yourself, "
-                                   "anywhere the queue is mounted)")
-    sweep_grid_p.add_argument("--jobs", "-j", type=int, default=None,
-                              help="per-worker process count when "
-                                   "distributed (capped at the worker "
-                                   "host's cores); else the grid pool size")
-    sweep_grid_p.add_argument("--no-cache", action="store_true",
-                              help="recompute every point (incompatible "
-                                   "with --distributed: the cache is how "
-                                   "workers return results)")
-    sweep_grid_p.add_argument("--chunk", type=int, default=None,
-                              help="points per published task (default: "
-                                   "$REPRO_CHUNK, then auto-sized from the "
-                                   "grid and worker count)")
-    sweep_grid_p.add_argument("--lease-timeout", type=float, default=60.0,
-                              metavar="S",
-                              help="seconds before an unrenewed chunk lease "
-                                   "is re-dispatched to another worker")
-    sweep_grid_p.add_argument("--wait-timeout", type=float, default=None,
-                              metavar="S",
-                              help="give up when the distributed sweep has "
-                                   "not completed within S seconds "
-                                   "(default: wait indefinitely)")
-    sweep_grid_p.add_argument("--live", "--status", action="store_true",
-                              help="render a live progress line on stderr, "
-                                   "aggregating per-worker heartbeats")
-    sweep_grid_p.add_argument("--metrics-out", metavar="FILE", default=None,
-                              help="write the final sweep telemetry as "
-                                   "OpenMetrics text")
-    sweep_grid_p.add_argument("--progress-out", metavar="FILE", default=None,
-                              help="write the raw progress events as JSONL")
-    sweep_grid_p.add_argument("--json", action="store_true",
-                              help="emit machine-readable JSON")
+    _add_common_arguments(p)
+    p.add_argument("--cc", choices=CC_ALGORITHMS.names(), default="bbr")
+    p.add_argument("--pacing", choices=PacingMode.ALL, default=PacingMode.AUTO)
+    p.add_argument("--stride", type=float, default=1.0,
+                   help="pacing stride (paper Eq. 2)")
+    p.add_argument("--fixed-cwnd", type=int, default=None,
+                   help="master module: pin cwnd (segments)")
+    p.add_argument("--fixed-pacing-mbps", type=float, default=None,
+                   help="master module: pin the pacing rate")
+    p.add_argument("--disable-model", action="store_true",
+                   help="master module: skip the CC model's per-ACK work")
+    p.add_argument("--scenario", metavar="FILE", default=None,
+                   help="single-point scenario file; overrides the spec flags "
+                        "above (multi-point files need 'repro grid')")
+    p.add_argument("--probe", action="append", default=None, metavar="NAME",
+                   help="record a time-series probe (repeatable; 'all' "
+                        "selects every registered probe; see 'repro list')")
+    p.add_argument("--series-out", metavar="FILE", default=None,
+                   help="write probe time series as JSON "
+                        "(render with 'repro report FILE')")
+    p.add_argument("--trace-out", metavar="FILE", default=None,
+                   help="write the component trace as JSONL "
+                        "(forces a single in-process run)")
+    p.add_argument("--chrome-trace", metavar="FILE", default=None,
+                   help="write a Chrome trace-event JSON loadable "
+                        "in Perfetto (forces a single in-process run)")
+    p.add_argument("--trace-category", action="append", default=None,
+                   metavar="GLOB",
+                   help="only trace sources matching this glob "
+                        "(repeatable; e.g. 'cc-*', 'little*')")
+    p.add_argument("--profile", action="store_true",
+                   help="profile the event loop per callback type "
+                        "(forces a single in-process run)")
 
-    worker_p = sub.add_parser(
-        "worker", help="pull and execute sweep chunks from a shared queue")
-    worker_p.add_argument("--pull", metavar="DIR", required=True,
-                          help="queue directory published by "
-                               "'repro sweep --distributed'")
-    worker_p.add_argument("--jobs", "-j", type=int, default=None,
-                          help="process count for this worker (default: "
-                               "$REPRO_JOBS, then CPU count; always capped "
-                               "at this host's cores)")
-    worker_p.add_argument("--lease-timeout", type=float, default=60.0,
-                          metavar="S",
-                          help="lease duration stamped on claimed chunks "
-                               "(renewed while computing)")
-    worker_p.add_argument("--idle-timeout", type=float, default=300.0,
-                          metavar="S",
-                          help="exit after this long without work "
-                               "(0: wait until stopped)")
-    worker_p.add_argument("--poll", type=float, default=0.5, metavar="S",
-                          help="queue poll interval while idle")
-    worker_p.add_argument("--max-chunks", type=int, default=None,
-                          help="exit after executing this many chunks")
-    worker_p.add_argument("--cache-dir", metavar="DIR", default=None,
-                          help="override the shared cache location named "
-                               "in the queue manifest (for hosts mounting "
-                               "it at a different path)")
-    worker_p.add_argument("--json", action="store_true",
-                          help="emit the worker report as JSON")
 
-    cmp_p = sub.add_parser("compare", help="BBR vs Cubic on one setting")
-    add_common(cmp_p)
-    cmp_p.add_argument("--stride", type=float, default=1.0)
+def _add_grid_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scenario", metavar="FILE", required=True,
+                   help="JSON scenario (base + grid + overrides)")
+    p.add_argument("--runs", type=int, default=1,
+                   help="seeded replications to average per point")
+    p.add_argument("--jobs", "-j", type=int, default=None,
+                   help="worker processes (default: $REPRO_JOBS, "
+                        "then CPU count)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="recompute every point instead of consulting "
+                        "the on-disk result cache")
+    p.add_argument("--chunk", type=int, default=None,
+                   help="specs batched per worker task (default: "
+                        "$REPRO_CHUNK, then auto-sized from the grid)")
+    p.add_argument("--json", action="store_true",
+                   help="emit machine-readable JSON")
+    p.add_argument("--live", action="store_true",
+                   help="render a live progress line on stderr: points "
+                        "done, chunks, cache hits, events/sec, ETA")
+    p.add_argument("--metrics-out", metavar="FILE", default=None,
+                   help="write the final grid telemetry as OpenMetrics text")
+    p.add_argument("--progress-out", metavar="FILE", default=None,
+                   help="write the raw worker progress events as JSONL")
 
-    sweep_p = sub.add_parser("sweep-strides", help="Figure-8 stride sweep")
-    add_common(sweep_p)
-    sweep_p.add_argument("--strides", type=float, nargs="+",
-                         default=[1, 2, 5, 10, 20, 50])
-    sweep_p.add_argument("--status", dest="live", action="store_true",
-                         help="render a live progress line on stderr while "
-                              "the sweep runs")
 
-    cache_p = sub.add_parser(
-        "cache", help="inspect or clear the on-disk result cache")
-    cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
-    cache_stats_p = cache_sub.add_parser(
+def _add_sweep_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scenario", metavar="FILE", required=True,
+                   help="JSON scenario (base + grid + overrides)")
+    p.add_argument("--distributed", action="store_true",
+                   help="shard the grid into a shared task queue for 'repro "
+                        "worker --pull' processes (the shared result cache "
+                        "carries the results and makes the sweep resumable)")
+    p.add_argument("--queue", metavar="DIR", default=None,
+                   help="queue directory (default: a per-sweep "
+                        "directory under the cache root; must be "
+                        "on a filesystem every worker mounts)")
+    p.add_argument("--workers", type=int, default=0,
+                   help="local pull-workers to spawn (0: only "
+                        "coordinate — start workers yourself, "
+                        "anywhere the queue is mounted)")
+    p.add_argument("--jobs", "-j", type=int, default=None,
+                   help="per-worker process count when distributed (capped at "
+                        "the worker host's cores); else the grid pool size")
+    p.add_argument("--no-cache", action="store_true",
+                   help="recompute every point (incompatible "
+                        "with --distributed: the cache is how "
+                        "workers return results)")
+    p.add_argument("--chunk", type=int, default=None,
+                   help="points per published task (default: $REPRO_CHUNK, "
+                        "then auto-sized from the grid and worker count)")
+    p.add_argument("--lease-timeout", type=float, default=60.0, metavar="S",
+                   help="seconds before an unrenewed chunk lease "
+                        "is re-dispatched to another worker")
+    p.add_argument("--wait-timeout", type=float, default=None, metavar="S",
+                   help="give up when the distributed sweep has not completed "
+                        "within S seconds (default: wait indefinitely)")
+    p.add_argument("--live", "--status", action="store_true",
+                   help="render a live progress line on stderr, "
+                        "aggregating per-worker heartbeats")
+    p.add_argument("--metrics-out", metavar="FILE", default=None,
+                   help="write the final sweep telemetry as OpenMetrics text")
+    p.add_argument("--progress-out", metavar="FILE", default=None,
+                   help="write the raw progress events as JSONL")
+    p.add_argument("--json", action="store_true",
+                   help="emit machine-readable JSON")
+
+
+def _add_worker_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pull", metavar="DIR", required=True,
+                   help="queue directory published by "
+                        "'repro sweep --distributed'")
+    p.add_argument("--jobs", "-j", type=int, default=None,
+                   help="process count for this worker (default: $REPRO_JOBS, "
+                        "then CPU count; always capped at this host's cores)")
+    p.add_argument("--lease-timeout", type=float, default=60.0, metavar="S",
+                   help="lease duration stamped on claimed chunks "
+                        "(renewed while computing)")
+    p.add_argument("--idle-timeout", type=float, default=300.0, metavar="S",
+                   help="exit after this long without work "
+                        "(0: wait until stopped)")
+    p.add_argument("--poll", type=float, default=0.5, metavar="S",
+                   help="queue poll interval while idle")
+    p.add_argument("--max-chunks", type=int, default=None,
+                   help="exit after executing this many chunks")
+    p.add_argument("--cache-dir", metavar="DIR", default=None,
+                   help="override the shared cache location named "
+                        "in the queue manifest (for hosts mounting "
+                        "it at a different path)")
+    p.add_argument("--json", action="store_true",
+                   help="emit the worker report as JSON")
+
+
+def _add_compare_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common_arguments(p)
+    p.add_argument("--stride", type=float, default=1.0)
+
+
+def _add_sweep_strides_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common_arguments(p)
+    p.add_argument("--strides", type=float, nargs="+",
+                   default=[1, 2, 5, 10, 20, 50])
+    p.add_argument("--status", dest="live", action="store_true",
+                   help="render a live progress line on stderr while "
+                        "the sweep runs")
+
+
+def _add_cache_arguments(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="cache_command", required=True)
+    stats_p = sub.add_parser(
         "stats", help="entry counts, size, and the current code fingerprint")
-    cache_stats_p.add_argument("--json", action="store_true",
-                               help="emit machine-readable JSON")
-    cache_clear_p = cache_sub.add_parser(
-        "clear", help="delete cached results")
-    cache_clear_p.add_argument("--stale", action="store_true",
-                               help="only delete entries from older code "
-                                    "versions (keep the current ones)")
-    cache_sub.add_parser(
+    stats_p.add_argument("--json", action="store_true",
+                         help="emit machine-readable JSON")
+    clear_p = sub.add_parser("clear", help="delete cached results")
+    clear_p.add_argument("--stale", action="store_true",
+                         help="only delete entries from older code versions "
+                              "(keep the current ones)")
+    sub.add_parser(
         "path", help="print the cache directory ($REPRO_CACHE_DIR overrides)")
 
-    runs_p = sub.add_parser(
-        "runs", help="inspect the run ledger (the append-only history of "
-                     "every experiment/grid invocation)")
-    runs_sub = runs_p.add_subparsers(dest="runs_command", required=True)
-    runs_list_p = runs_sub.add_parser(
-        "list", help="most recent ledger records")
-    runs_list_p.add_argument("--limit", type=int, default=20,
-                             help="records to show, newest last")
-    runs_list_p.add_argument("--kind", choices=("run", "grid"), default=None,
-                             help="only this record kind")
-    runs_list_p.add_argument("--json", action="store_true",
-                             help="emit machine-readable JSON")
-    runs_show_p = runs_sub.add_parser(
-        "show", help="print one ledger record as JSON")
-    runs_show_p.add_argument("run_id", metavar="ID",
-                             help="record id (any unique prefix)")
-    runs_diff_p = runs_sub.add_parser(
+
+def _add_runs_arguments(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="runs_command", required=True)
+    list_p = sub.add_parser("list", help="most recent ledger records")
+    list_p.add_argument("--limit", type=int, default=20,
+                        help="records to show, newest last")
+    list_p.add_argument("--kind", choices=("run", "grid"), default=None,
+                        help="only this record kind")
+    list_p.add_argument("--json", action="store_true",
+                        help="emit machine-readable JSON")
+    show_p = sub.add_parser("show", help="print one ledger record as JSON")
+    show_p.add_argument("run_id", metavar="ID",
+                        help="record id (any unique prefix)")
+    diff_p = sub.add_parser(
         "diff", help="compare two records' metrics by spec digest "
                      "(exit 0 within --tol, 1 beyond, 2 nothing shared)")
-    runs_diff_p.add_argument("run_a", metavar="ID_A")
-    runs_diff_p.add_argument("run_b", metavar="ID_B")
-    runs_diff_p.add_argument("--tol", type=float, default=0.0,
-                             help="relative tolerance per metric "
-                                  "(default 0: bit-exact)")
-    runs_diff_p.add_argument("--json", action="store_true",
-                             help="emit machine-readable JSON")
-    runs_prune_p = runs_sub.add_parser(
+    diff_p.add_argument("run_a", metavar="ID_A")
+    diff_p.add_argument("run_b", metavar="ID_B")
+    diff_p.add_argument("--tol", type=float, default=0.0,
+                        help="relative tolerance per metric "
+                             "(default 0: bit-exact)")
+    diff_p.add_argument("--json", action="store_true",
+                        help="emit machine-readable JSON")
+    prune_p = sub.add_parser(
         "prune", help="drop all but the newest records (and orphaned "
                       "spec refs)")
-    runs_prune_p.add_argument("--keep", type=int, default=100,
-                              help="records to keep")
-    runs_merge_p = runs_sub.add_parser(
+    prune_p.add_argument("--keep", type=int, default=100,
+                         help="records to keep")
+    merge_p = sub.add_parser(
         "merge", help="fold per-worker ledger shards (or a whole sweep "
                       "queue's ledgers/) into one queryable ledger")
-    runs_merge_p.add_argument("sources", metavar="DIR", nargs="+",
-                              help="ledger directory, or a queue directory "
-                                   "whose ledgers/ subdirectories are all "
-                                   "merged")
-    runs_merge_p.add_argument("--into", metavar="DIR", default=None,
-                              help="destination ledger directory (default: "
-                                   "the regular run ledger)")
-    runs_sub.add_parser(
+    merge_p.add_argument("sources", metavar="DIR", nargs="+",
+                         help="ledger directory, or a queue directory whose "
+                              "ledgers/ subdirectories are all merged")
+    merge_p.add_argument("--into", metavar="DIR", default=None,
+                         help="destination ledger directory (default: the "
+                              "regular run ledger)")
+    sub.add_parser(
         "path", help="print the ledger file ($REPRO_LEDGER_DIR overrides)")
 
-    perf_p = sub.add_parser(
-        "perf", help="performance-trajectory tooling over the harness "
-                     "history")
-    perf_sub = perf_p.add_subparsers(dest="perf_command", required=True)
-    trend_p = perf_sub.add_parser(
+
+def _add_perf_arguments(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="perf_command", required=True)
+    trend_p = sub.add_parser(
         "trend", help="render the events/sec trajectory from "
                       "BENCH_history.jsonl")
     trend_p.add_argument("--history", metavar="FILE",
@@ -380,25 +321,27 @@ def build_parser() -> argparse.ArgumentParser:
     trend_p.add_argument("--json", action="store_true",
                          help="emit the raw history as JSON")
 
-    report_p = sub.add_parser(
-        "report", help="render probe time series saved by 'run --series-out'")
-    report_p.add_argument("series_file", metavar="FILE",
-                          help="JSON file written by 'repro run --series-out'")
-    report_p.add_argument("--probe", action="append", default=None,
-                          metavar="NAME",
-                          help="only render series whose name starts with "
-                               "NAME (repeatable; default: all)")
-    report_p.add_argument("--points", type=int, default=12,
-                          help="downsample each series to this many points")
 
-    list_p = sub.add_parser(
-        "list", help="list registered components (CCs, media, devices, ...)")
-    list_p.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
-    return parser
+def _add_report_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("series_file", metavar="FILE",
+                   help="JSON file written by 'repro run --series-out'")
+    p.add_argument("--probe", action="append", default=None, metavar="NAME",
+                   help="only render series whose name starts with "
+                        "NAME (repeatable; default: all)")
+    p.add_argument("--points", type=int, default=12,
+                   help="downsample each series to this many points")
+
+
+def _add_list_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true",
+                   help="emit machine-readable JSON")
 
 
 def _spec_from_args(args, **overrides) -> ExperimentSpec:
+    from .core.spec import ExperimentSpec
+    from .devices.profiles import DEVICES
+    from .netsim.profiles import MEDIA, NetemConfig
+
     netem = None
     if args.rate_limit_mbps is not None or args.buffer_segments is not None:
         netem = NetemConfig(
@@ -437,11 +380,17 @@ def _result_dict(agg) -> dict:
     return row
 
 
+def _emit_json(payload, out) -> None:
+    json.dump(payload, out, indent=2)
+    out.write("\n")
+
+
 def _emit(rows: List[dict], as_json: bool, out) -> None:
     if as_json:
-        json.dump(rows if len(rows) > 1 else rows[0], out, indent=2)
-        out.write("\n")
+        _emit_json(rows if len(rows) > 1 else rows[0], out)
         return
+    from .metrics.report import render_table
+
     # Rows may have heterogeneous keys (multi-flow rows grow fairness
     # columns); the table shows the union, blank where absent.
     headers = list(dict.fromkeys(k for r in rows for k in r))
@@ -466,24 +415,6 @@ def _timing_line(aggs, jobs: int, wall_s: float,
     )
 
 
-def _cache_suffix(report) -> str:
-    """Cache/chunk/kernel annotations for the timing line (empty when default)."""
-    suffix = ""
-    if report.chunk > 1:
-        suffix += f" chunk={report.chunk}"
-    if report.kernel != "pure":
-        suffix += f" kernel={report.kernel}"
-        components = getattr(report, "kernel_components", ())
-        if components:
-            suffix += f"[{'+'.join(components)}]"
-    if report.cache_used:
-        suffix += (f" cache hits={report.cache_hits} "
-                   f"misses={report.cache_misses}")
-        if report.cache_skipped:
-            suffix += f" skipped={report.cache_skipped}"
-    return suffix
-
-
 def _make_monitor(args, total_points: int) -> Optional[GridMonitor]:
     """A grid monitor when --live/--status or a telemetry export asks.
 
@@ -495,6 +426,8 @@ def _make_monitor(args, total_points: int) -> Optional[GridMonitor]:
         getattr(args, "progress_out", None)
     if not live and not exports:
         return None
+    from .obs.live import GridMonitor
+
     return GridMonitor(total_points, stream=sys.stderr if live else None)
 
 
@@ -516,6 +449,8 @@ def _export_monitor(args, monitor: Optional[GridMonitor]) -> None:
 
 def _run_specs(args, specs):
     """Run replicated specs through the parallel runner, with timing."""
+    from .runner import resolve_jobs, run_replicated_grid_report
+
     jobs = resolve_jobs(args.jobs)
     cache = False if getattr(args, "no_cache", False) else None
     monitor = _make_monitor(args, len(specs) * args.runs)
@@ -529,7 +464,7 @@ def _run_specs(args, specs):
     for notice in report.notices:
         sys.stderr.write(f"note: {notice}\n")
     line = _timing_line(aggs, jobs, wall, events=report.total_events)
-    suffix = _cache_suffix(report)
+    suffix = report.annotations()
     if report.run_id:
         suffix += f" run={report.run_id}"
     return aggs, line + suffix
@@ -539,6 +474,8 @@ def _resolve_probes(names: Optional[List[str]]) -> tuple:
     """Expand ``--probe`` values; 'all' selects every registered probe."""
     if not names:
         return ()
+    from .obs import PROBES
+
     if "all" in names:
         return PROBES.names()
     for name in names:
@@ -568,6 +505,12 @@ def _instrumented_run(args, spec, out):
     ``--trace-out``/``--chrome-trace``/``--profile`` is given we run the
     one experiment here instead.
     """
+    from .core.experiment import run_experiment
+    from .kernel import KERNEL_ENV_VAR
+    from .obs.profiler import SimProfiler
+    from .obs.trace_export import export_chrome_trace, export_jsonl
+    from .sim.trace import Tracer
+
     if args.runs > 1:
         sys.stderr.write(
             "note: --trace-out/--chrome-trace/--profile run in-process; "
@@ -580,9 +523,7 @@ def _instrumented_run(args, spec, out):
     start = time.perf_counter()
     result = run_experiment(spec, tracer=tracer, profiler=profiler)
     wall = time.perf_counter() - start
-    stats = RunSet()
-    stats.add_run(result.scalar_metrics())
-    agg = ReplicatedResult(spec=spec, runs=[result], stats=stats)
+    agg = _single_run_agg(spec, result)
     notices: List[str] = []
     requested_kernel = os.environ.get(KERNEL_ENV_VAR) or "pure"
     if requested_kernel != "pure":
@@ -618,7 +559,9 @@ def _instrumented_run(args, spec, out):
 
 def _cmd_run(args, out) -> int:
     if args.scenario is not None:
-        specs = expand_scenario(load_scenario_doc(args.scenario))
+        from .core.scenario import load_scenario
+
+        specs = load_scenario(args.scenario)
         if len(specs) != 1:
             sys.stderr.write(
                 f"error: scenario {args.scenario!r} expands to "
@@ -639,6 +582,8 @@ def _cmd_run(args, out) -> int:
         )
     probes = _resolve_probes(args.probe)
     if probes:
+        from dataclasses import replace
+
         spec = replace(spec, probes=probes)
     profiler = None
     series_meta = None
@@ -660,6 +605,9 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_report(args, out) -> int:
+    from .metrics.report import render_series
+    from .obs.series import TimeSeries
+
     with open(args.series_file, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -701,7 +649,9 @@ def _cmd_report(args, out) -> int:
 
 
 def _cmd_grid(args, out) -> int:
-    specs = expand_scenario(load_scenario_doc(args.scenario))
+    from .core.scenario import load_scenario
+
+    specs = load_scenario(args.scenario)
     if not specs:
         sys.stderr.write(
             f"error: scenario {args.scenario!r} expands to no points\n"
@@ -732,6 +682,9 @@ def _scenario_files() -> List[str]:
 
 
 def _cmd_list(args, out) -> int:
+    from .kernel import KERNELS, compiled_components
+    from .registry import all_registries
+
     sections = {
         "cc": "congestion controls",
         "executor": "executors",
@@ -766,8 +719,7 @@ def _cmd_list(args, out) -> int:
             }
             for _, kernel in KERNELS.items()
         }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _emit_json(payload, out)
         return 0
     width = max(len(title) for title in sections.values())
     for key, reg in registries.items():
@@ -783,6 +735,8 @@ def _cmd_list(args, out) -> int:
 
 
 def _cmd_cache(args, out) -> int:
+    from .cache import ResultCache
+
     cache = ResultCache()
     if args.cache_command == "path":
         out.write(cache.root + "\n")
@@ -790,8 +744,7 @@ def _cmd_cache(args, out) -> int:
     if args.cache_command == "stats":
         stats = cache.stats()
         if args.json:
-            json.dump(stats.to_dict(), out, indent=2)
-            out.write("\n")
+            _emit_json(stats.to_dict(), out)
         else:
             out.write(stats.render() + "\n")
         return 0
@@ -843,6 +796,9 @@ def _runs_list_row(record: dict) -> dict:
 
 
 def _cmd_runs(args, out) -> int:
+    from .metrics.report import render_table
+    from .obs.ledger import RunLedger, diff_records
+
     # Constructed directly (not via resolve_ledger) so reads work even
     # under REPRO_LEDGER=off — the kill-switch gates writes, not
     # inspection, mirroring how 'repro cache stats' always works.
@@ -853,8 +809,7 @@ def _cmd_runs(args, out) -> int:
     if args.runs_command == "list":
         records = ledger.records(limit=args.limit, kind=args.kind)
         if args.json:
-            json.dump(records, out, indent=2)
-            out.write("\n")
+            _emit_json(records, out)
             return 0
         if not records:
             out.write(f"no ledger records under {ledger.path}\n")
@@ -880,8 +835,7 @@ def _cmd_runs(args, out) -> int:
         except (KeyError, ValueError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
-        json.dump(record, out, indent=2)
-        out.write("\n")
+        _emit_json(record, out)
         return 0
     assert args.runs_command == "diff"
     try:
@@ -892,8 +846,7 @@ def _cmd_runs(args, out) -> int:
         return 2
     rows, code = diff_records(rec_a, rec_b, tol=args.tol)
     if args.json:
-        json.dump({"differing": rows, "exit_code": code}, out, indent=2)
-        out.write("\n")
+        _emit_json({"differing": rows, "exit_code": code}, out)
         return code
     if code == 2:
         sys.stderr.write(
@@ -925,8 +878,7 @@ def _cmd_perf(args, out) -> int:
             "(benchmarks/perf_harness.py appends one per invocation)\n")
         return 2
     if args.json:
-        json.dump(history, out, indent=2)
-        out.write("\n")
+        _emit_json(history, out)
     else:
         out.write(perf_trend.render_trend(history) + "\n")
     if args.check_regression is None:
@@ -958,36 +910,46 @@ def _cmd_perf(args, out) -> int:
 
 def _single_run_agg(spec, result) -> ReplicatedResult:
     """Wrap one grid result as a 1-run aggregate for the table renderer."""
+    from .core.spec import ReplicatedResult
+    from .metrics.summary import RunSet
+
     stats = RunSet()
     stats.add_run(result.scalar_metrics())
     return ReplicatedResult(spec=spec, runs=[result], stats=stats)
 
 
 def _cmd_sweep_scenario(args, out) -> int:
-    specs = expand_scenario(load_scenario_doc(args.scenario))
+    if not args.distributed:
+        # Same semantics as 'repro grid': one box, the process pool.
+        args.runs = 1
+        return _cmd_grid(args, out)
+    from .core.scenario import load_scenario
+
+    specs = load_scenario(args.scenario)
     if not specs:
         sys.stderr.write(
             f"error: scenario {args.scenario!r} expands to no points\n"
         )
         return 2
-    if not args.distributed:
-        # Same semantics as 'repro grid': one box, the process pool.
-        args.runs = 1
-        aggs, timing = _run_specs(args, specs)
-        _emit([_result_dict(agg) for agg in aggs], args.json, out)
-        if not args.json:
-            out.write(timing + "\n")
-        return 0
     if args.no_cache:
         sys.stderr.write(
             "error: --no-cache is incompatible with --distributed — the "
             "shared result cache is how workers return results\n"
         )
         return 2
+    from .dist.coordinator import (
+        DistributedSweepError,
+        default_queue_dir,
+        grid_digest,
+        run_distributed,
+    )
+
     name = os.path.splitext(os.path.basename(args.scenario))[0]
     queue_dir = args.queue or default_queue_dir(name, grid_digest(specs))
     monitor = None
     if args.live or args.metrics_out or args.progress_out:
+        from .obs.live import DistMonitor
+
         monitor = DistMonitor(len(specs),
                               stream=sys.stderr if args.live else None)
     try:
@@ -1019,6 +981,8 @@ def _cmd_sweep_scenario(args, out) -> int:
 
 
 def _cmd_worker(args, out) -> int:
+    from .dist.worker import WorkerError, run_worker
+
     try:
         report = run_worker(
             args.pull,
@@ -1033,19 +997,9 @@ def _cmd_worker(args, out) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if args.json:
-        json.dump({
-            "worker_id": report.worker_id,
-            "chunks": report.chunks,
-            "points": report.points,
-            "computed": report.computed,
-            "cached": report.cached,
-            "errors": report.errors,
-            "events": report.events,
-            "wall_s": report.wall_s,
-            "events_per_sec": report.events_per_sec,
-            "exit_reason": report.exit_reason,
-        }, out, indent=2)
-        out.write("\n")
+        _emit_json({key: getattr(report, key) for key in (
+            "worker_id", "chunks", "points", "computed", "cached", "errors",
+            "events", "wall_s", "events_per_sec", "exit_reason")}, out)
     else:
         out.write(report.summary_line() + "\n")
     return 0
@@ -1068,6 +1022,8 @@ def _cmd_runs_merge(args, out) -> int:
             sources.extend(shards)
         else:
             sources.append(source)
+    from .obs.ledger import merge_ledgers
+
     dest, added = merge_ledgers(sources, dest=args.into)
     out.write(f"merged {added} new record(s) from {len(sources)} "
               f"ledger(s) into {dest.path}\n")
@@ -1091,6 +1047,9 @@ def _cmd_compare(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
+    from .core.stride import sweep_strides
+    from .runner import resolve_jobs
+
     spec = _spec_from_args(args, cc="bbr")
     jobs = resolve_jobs(args.jobs)
     monitor = _make_monitor(args, len(args.strides) * args.runs)
@@ -1113,11 +1072,73 @@ def _cmd_sweep(args, out) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    """One subcommand: its top-level help, its parser, its handler."""
+
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace, IO[str]], int]
+
+
+#: every subcommand, in ``repro --help`` order; the parsers and the
+#: dispatch in :func:`main` are both built from this one table
+_COMMANDS: Dict[str, _Command] = {
+    "run": _Command("run one experiment", _add_run_arguments, _cmd_run),
+    "grid": _Command("run every point of a declarative scenario file",
+                     _add_grid_arguments, _cmd_grid),
+    "sweep": _Command("run a scenario grid, optionally sharded across "
+                      "distributed pull-workers over a shared cache",
+                      _add_sweep_arguments, _cmd_sweep_scenario),
+    "worker": _Command("pull and execute sweep chunks from a shared queue",
+                       _add_worker_arguments, _cmd_worker),
+    "compare": _Command("BBR vs Cubic on one setting",
+                        _add_compare_arguments, _cmd_compare),
+    "sweep-strides": _Command("Figure-8 stride sweep",
+                              _add_sweep_strides_arguments, _cmd_sweep),
+    "cache": _Command("inspect or clear the on-disk result cache",
+                      _add_cache_arguments, _cmd_cache),
+    "runs": _Command("inspect the run ledger (the append-only history of "
+                     "every experiment/grid invocation)",
+                     _add_runs_arguments, _cmd_runs),
+    "perf": _Command("performance-trajectory tooling over the harness history",
+                     _add_perf_arguments, _cmd_perf),
+    "report": _Command("render probe time series saved by 'run --series-out'",
+                       _add_report_arguments, _cmd_report),
+    "list": _Command("list registered components (CCs, media, devices, ...)",
+                     _add_list_arguments, _cmd_list),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Construct the CLI argument parser.
+
+    Every subcommand is registered (``repro --help`` and the
+    invalid-choice error list them all); with *command* given, only that
+    one gets its arguments, which is all :func:`main` needs.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce 'Are Mobiles Ready for BBR?' experiments.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, entry in _COMMANDS.items():
+        sub_parser = sub.add_parser(name, help=entry.help)
+        if command is None or name == command:
+            entry.add_arguments(sub_parser)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser has no options but -h: a subcommand comes first.
+    invoked = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(invoked).parse_args(argv)
     if getattr(args, "kernel", None):
+        from .kernel import KERNEL_ENV_VAR, resolve_kernel
+
         # Exported (not just resolved here) so grid/replication worker
         # processes inherit the same backend selection.
         os.environ[KERNEL_ENV_VAR] = args.kernel
@@ -1125,29 +1146,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         # this prints the fallback notice before any output, not midway
         # through a grid.
         resolve_kernel(args.kernel)
-    if args.command == "run":
-        return _cmd_run(args, out)
-    if args.command == "grid":
-        return _cmd_grid(args, out)
-    if args.command == "compare":
-        return _cmd_compare(args, out)
-    if args.command == "sweep":
-        return _cmd_sweep_scenario(args, out)
-    if args.command == "worker":
-        return _cmd_worker(args, out)
-    if args.command == "sweep-strides":
-        return _cmd_sweep(args, out)
-    if args.command == "report":
-        return _cmd_report(args, out)
-    if args.command == "cache":
-        return _cmd_cache(args, out)
-    if args.command == "runs":
-        return _cmd_runs(args, out)
-    if args.command == "perf":
-        return _cmd_perf(args, out)
-    if args.command == "list":
-        return _cmd_list(args, out)
-    raise AssertionError("unreachable")
+    return _COMMANDS[args.command].handler(args, out)
 
 
 if __name__ == "__main__":  # pragma: no cover

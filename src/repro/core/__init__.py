@@ -1,29 +1,7 @@
 """The paper-facing API: experiment specs, the runner, stride studies,
 and the §6 analytical model."""
 
-from .analysis import StrideRow, expected_throughput_bps, idle_time_ns
-from .experiment import (
-    ExperimentResult,
-    ExperimentSpec,
-    ReplicatedResult,
-    make_cc_factory,
-    run_experiment,
-    run_replicated,
-)
-from .flows import FlowSpec, resolve_flows
-from .scenario import (
-    canonical_spec_json,
-    expand_scenario,
-    expand_scenario_dicts,
-    flow_from_dict,
-    flow_to_dict,
-    load_scenario,
-    load_scenario_doc,
-    spec_digest,
-    spec_from_dict,
-    spec_to_dict,
-)
-from .stride import PAPER_STRIDES, AdaptiveStrideController, sweep_strides
+from ..registry import lazy_exports
 
 __all__ = [
     "ExperimentSpec",
@@ -51,3 +29,25 @@ __all__ = [
     "expected_throughput_bps",
     "idle_time_ns",
 ]
+
+_SUBMODULES = {
+    ".analysis": ("StrideRow", "expected_throughput_bps", "idle_time_ns"),
+    ".experiment": ("make_cc_factory", "run_experiment", "run_replicated"),
+    ".flows": ("FlowSpec", "resolve_flows"),
+    ".scenario": (
+        "canonical_spec_json",
+        "expand_scenario",
+        "expand_scenario_dicts",
+        "flow_from_dict",
+        "flow_to_dict",
+        "load_scenario",
+        "load_scenario_doc",
+        "spec_digest",
+        "spec_from_dict",
+        "spec_to_dict",
+    ),
+    ".spec": ("ExperimentResult", "ExperimentSpec", "ReplicatedResult"),
+    ".stride": ("PAPER_STRIDES", "AdaptiveStrideController", "sweep_strides"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES, globals())

@@ -1,39 +1,44 @@
 """Experiment runner: one call from specification to measured result.
 
-This is the library's main entry point. A :class:`ExperimentSpec` names a
-device + CPU configuration (Table 1), a medium (§3.2), a congestion
-control, a connection count, and the §5/§6 knobs (pacing mode, master
-module overrides, pacing stride). :func:`run_experiment` assembles the
-full simulated testbed, runs the iperf workload, and returns an
-:class:`ExperimentResult`; :func:`run_replicated` averages over seeds the
-way the paper averages over 10 iperf runs.
+This is the library's main entry point. A
+:class:`~repro.core.spec.ExperimentSpec` names a device + CPU
+configuration (Table 1), a medium (§3.2), a congestion control, a
+connection count, and the §5/§6 knobs (pacing mode, master module
+overrides, pacing stride). :func:`run_experiment` assembles the full
+simulated testbed, runs the iperf workload, and returns an
+:class:`~repro.core.spec.ExperimentResult`; :func:`run_replicated`
+averages over seeds the way the paper averages over 10 iperf runs.
+
+The spec and result dataclasses are defined in :mod:`repro.core.spec`
+(re-exported here): this module is the one that imports the simulator,
+so everything that only describes, stores or ships experiments imports
+that one instead.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import replace
+from typing import Callable, List, Optional, Union
 
 from ..apps.flows import FlowClient
 from ..apps.iperf import IperfServerApp
 from ..cc import CC_ALGORITHMS, CongestionOps, MasterModule
-from ..cpu import CostModel, EXECUTORS
-from ..devices import CpuConfig, DeviceProfile, PIXEL_4, build_device
+from ..cpu import EXECUTORS
+from ..devices import build_device
 from ..kernel import resolve_kernel
 from ..metrics.collector import StatAccumulator
 from ..metrics.fairness import jain_fairness_index
 from ..metrics.summary import RunSet
-from ..netsim import ETHERNET_LAN, MediumProfile, NetemConfig, Testbed
+from ..netsim import Testbed
 from ..obs.ledger import RunLedger, resolve_ledger
 from ..obs.probes import ProbeContext, ProbeSet
-from ..obs.series import TimeSeries
-from ..sim import EventLoop, NULL_TRACER, PeriodicTimer, RngStreams, Tracer
+from ..sim import NULL_TRACER, PeriodicTimer, RngStreams, Tracer
 from ..tcp.connection import SocketConfig
-from ..tcp.pacing import PacingMode
 from ..tcp.stack import FlowIdAllocator, MobileTcpStack
 from ..units import MSEC, mbps, seconds, to_mbps
 from .flows import FlowSpec, resolve_flows
+from .spec import ExperimentResult, ExperimentSpec, ReplicatedResult
 
 __all__ = [
     "ExperimentSpec",
@@ -44,183 +49,6 @@ __all__ = [
     "run_replicated",
     "make_cc_factory",
 ]
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything needed to reproduce one measurement point."""
-
-    #: congestion control: "cubic" | "bbr" | "bbr2" | "reno"
-    cc: str = "bbr"
-    #: parallel connections (iperf3 -P)
-    connections: int = 1
-    device: DeviceProfile = PIXEL_4
-    #: Table 1 configuration name (see :class:`repro.devices.CpuConfig`)
-    cpu_config: str = CpuConfig.LOW_END
-    medium: MediumProfile = ETHERNET_LAN
-    netem: Optional[NetemConfig] = None
-    #: pacing decision (§5.2): auto / forced on / forced off
-    pacing_mode: str = PacingMode.AUTO
-    #: the paper's pacing stride (§6); 1.0 = stock kernel
-    pacing_stride: float = 1.0
-    #: simulated transfer duration (the paper runs 5 min; the defaults
-    #: here are shorter but past convergence — see EXPERIMENTS.md)
-    duration_s: float = 8.0
-    #: measurement starts after this warmup
-    warmup_s: float = 2.0
-    seed: int = 1
-    #: cost-model override (None = device default); ablations use this
-    costs: Optional[CostModel] = None
-    # --- §5 master-module knobs ---
-    disable_model: bool = False
-    fixed_cwnd_segments: Optional[int] = None
-    fixed_pacing_rate_mbps: Optional[float] = None
-    #: stack work placement: "serial" (default, see DESIGN.md §4),
-    #: "rps" (multi-core ablation), "free" (no CPU model)
-    executor: str = "serial"
-    phone_qdisc_segments: int = 1000
-    #: telemetry probes to sample during the run (names registered in
-    #: :data:`repro.obs.probes.PROBES`); results land in
-    #: :attr:`ExperimentResult.timeseries`
-    probes: Tuple[str, ...] = ()
-    #: heterogeneous sender hosts (see :class:`repro.core.flows.FlowSpec`);
-    #: empty = the legacy shape (``connections`` flows under ``cc``)
-    flows: Tuple[FlowSpec, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.flows, tuple):
-            object.__setattr__(self, "flows", tuple(self.flows))
-        for flow in self.flows:
-            if not isinstance(flow, FlowSpec):
-                raise ValueError(
-                    f"flows entries must be FlowSpec, got {type(flow).__name__}"
-                )
-        if self.flows and self.connections != 1:
-            raise ValueError(
-                "a spec uses either 'flows' or 'connections', not both "
-                "(leave connections at its default of 1)"
-            )
-
-    def label(self) -> str:
-        """Compact human-readable identifier for reports."""
-        if self.flows:
-            ccs = "+".join(dict.fromkeys(f.cc for f in self.flows))
-            total = sum(f.count for f in self.flows)
-            shape = f"{len(self.flows)}h{total}f"
-            parts = [ccs, shape, self.cpu_config, self.medium.name]
-        else:
-            parts = [self.cc, f"{self.connections}c", self.cpu_config,
-                     self.medium.name]
-        if self.pacing_mode != PacingMode.AUTO:
-            parts.append(f"pacing={self.pacing_mode}")
-        if self.pacing_stride != 1.0:
-            parts.append(f"stride={self.pacing_stride:g}x")
-        return "/".join(parts)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Serialize to a plain JSON-compatible dict (exact round trip).
-
-        The inverse is :func:`repro.core.scenario.spec_from_dict`; this
-        is the wire format specs travel in (worker processes, scenario
-        files, archives).
-        """
-        from .scenario import spec_to_dict  # deferred: scenario imports us
-
-        return spec_to_dict(self)
-
-
-@dataclass
-class ExperimentResult:
-    """Measured outputs of one run."""
-
-    spec: ExperimentSpec
-    goodput_mbps: float
-    per_flow_goodput_mbps: List[float]
-    rtt_mean_ms: float
-    rtt_p50_ms: float
-    rtt_p95_ms: float
-    rtt_min_ms: float
-    retransmitted_segments: int
-    rto_count: int
-    cpu_busy_fraction: float
-    #: Table 2 quantities (pacing connections only; 0.0 otherwise)
-    mean_skb_bytes: float
-    mean_idle_ms: float
-    pacing_periods: int
-    router_dropped_segments: int
-    phone_dropped_segments: int
-    peak_qdisc_segments: int
-    #: memory proxy: peak of (qdisc backlog + unacked inflight), bytes
-    peak_memory_bytes: int
-    mean_memory_bytes: float
-    mean_cwnd_segments: float
-    events_processed: int
-    #: flows that ran (static + churn-spawned), i.e. len(per_flow_goodput_mbps)
-    flow_count: int = 1
-    #: finite transfers that acknowledged all their bytes
-    flows_completed: int = 0
-    #: Jain index over per-flow goodput in the window (1.0 = equal shares)
-    jain_fairness: float = 1.0
-    #: flow-completion-time summary over completed finite transfers, ms
-    fct_mean_ms: float = 0.0
-    fct_p95_ms: float = 0.0
-    #: probe output: series name -> :class:`~repro.obs.series.TimeSeries`
-    #: (empty unless the spec selected probes)
-    timeseries: Dict[str, TimeSeries] = field(default_factory=dict)
-
-    def scalar_metrics(self) -> Dict[str, float]:
-        """Flat metric dict for :class:`~repro.metrics.summary.RunSet`.
-
-        Derived from the dataclass itself: every numeric field is a
-        metric (so new fields aggregate automatically); the spec and
-        per-flow list are skipped. Per-flow goodput *shares* are emitted
-        as ``goodput_share_f<id>`` entries (flow ids follow creation
-        order) whenever anything was delivered, so fairness outcomes ride
-        through :class:`~repro.metrics.summary.RunSet` aggregation.
-        """
-        out: Dict[str, float] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                out[f.name] = float(value)
-        total = sum(self.per_flow_goodput_mbps)
-        if total > 0.0:
-            for index, goodput in enumerate(self.per_flow_goodput_mbps):
-                out[f"goodput_share_f{index + 1}"] = goodput / total
-        return out
-
-
-@dataclass
-class ReplicatedResult:
-    """Aggregate over seeded replications (the paper's 10-run averages)."""
-
-    spec: ExperimentSpec
-    runs: List[ExperimentResult]
-    stats: RunSet = field(default_factory=RunSet)
-
-    @property
-    def goodput_mbps(self) -> float:
-        """Mean goodput across runs."""
-        return self.stats.mean("goodput_mbps")
-
-    @property
-    def goodput_stdev(self) -> float:
-        """Goodput standard deviation across runs."""
-        return self.stats.stdev("goodput_mbps")
-
-    @property
-    def rtt_mean_ms(self) -> float:
-        """Mean of per-run mean RTTs."""
-        return self.stats.mean("rtt_mean_ms")
-
-    @property
-    def retransmitted_segments(self) -> float:
-        """Mean retransmitted segments per run."""
-        return self.stats.mean("retransmitted_segments")
-
-    def mean(self, name: str) -> float:
-        """Mean of any scalar metric across runs."""
-        return self.stats.mean(name)
 
 
 def make_cc_factory(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..netsim import NetemConfig
+from ..netsim.profiles import NetemConfig
 
 __all__ = ["FlowSpec", "resolve_flows"]
 

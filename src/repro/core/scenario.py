@@ -1,20 +1,10 @@
-"""Declarative scenarios: experiment specs as serializable data.
+"""Declarative scenarios: whole experiment grids as JSON documents.
 
-An :class:`~repro.core.experiment.ExperimentSpec` is a frozen dataclass,
-which is perfect inside one Python process but opaque as soon as a spec
-has to travel — to a worker process, a results archive, or a colleague's
-shell. This module makes the spec a *wire format*:
-
-* :func:`spec_to_dict` / :func:`spec_from_dict` convert specs to and
-  from plain JSON-compatible dicts with an **exact round trip**
-  (``spec_from_dict(spec.to_dict()) == spec`` always). Devices and media
-  are referenced by their registry name (``"pixel4"``, ``"wifi"``);
-  unregistered profiles, ``netem`` and ``costs`` serialize as inline
-  field dicts. Unknown keys are rejected with a message naming the
-  valid ones.
-
-* **Scenario files** describe whole experiment grids declaratively, the
-  way ns-3 / Pantheon-style harnesses do. A scenario is a JSON document::
+Built on the spec wire format of :mod:`repro.core.spec`
+(:func:`spec_to_dict` / :func:`spec_from_dict`, exact round trip,
+unknown keys rejected; re-exported here). **Scenario files** describe
+whole experiment grids declaratively, the way ns-3 / Pantheon-style
+harnesses do. A scenario is a JSON document::
 
       {
         "name": "fig8_stride_sweep",
@@ -26,26 +16,29 @@ shell. This module makes the spec a *wire format*:
         ]
       }
 
-  :func:`expand_scenario` takes the cartesian product of the ``grid``
-  axes over ``base`` (first axis outermost, last axis fastest-varying),
-  applies each ``overrides`` entry to every matching point, and returns
-  a deterministic ``List[ExperimentSpec]``.
+:func:`expand_scenario` takes the cartesian product of the ``grid``
+axes over ``base`` (first axis outermost, last axis fastest-varying),
+applies each ``overrides`` entry to every matching point, and returns
+a deterministic ``List[ExperimentSpec]``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
-from dataclasses import fields
-from typing import Any, Dict, List, Sequence, Union
+from typing import Any, Dict, List
 
-from ..cpu.costs import CostModel
-from ..devices import DEVICES, DeviceProfile
-from ..netsim import MEDIA, MediumProfile, NetemConfig
-from ..registry import Registry
-from .experiment import ExperimentSpec
-from .flows import FlowSpec
+from .spec import (
+    ExperimentSpec,
+    canonical_spec_json,
+    field_names,
+    flow_from_dict,
+    flow_to_dict,
+    reject_unknown_keys,
+    spec_digest,
+    spec_from_dict,
+    spec_to_dict,
+)
 
 __all__ = [
     "spec_to_dict",
@@ -65,178 +58,6 @@ _SCENARIO_KEYS = ("name", "description", "base", "grid", "overrides")
 _OVERRIDE_KEYS = ("match", "set")
 
 
-def _field_names(cls) -> List[str]:
-    return [f.name for f in fields(cls)]
-
-
-def _reject_unknown(data: Dict[str, Any], valid: Sequence[str], what: str) -> None:
-    unknown = [k for k in data if k not in valid]
-    if unknown:
-        raise ValueError(
-            f"unknown {what} key(s) {sorted(unknown)}; "
-            f"valid keys are {sorted(valid)}"
-        )
-
-
-def _dataclass_to_dict(value) -> Dict[str, Any]:
-    """One-level dataclass -> dict; tuples become lists (JSON-friendly)."""
-    out: Dict[str, Any] = {}
-    for f in fields(value):
-        v = getattr(value, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out
-
-
-def _dataclass_from_dict(cls, data: Dict[str, Any], what: str):
-    """One-level dict -> dataclass; lists become tuples; keys checked."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a mapping, got {type(data).__name__}")
-    _reject_unknown(data, _field_names(cls), what)
-    kwargs = {
-        k: tuple(v) if isinstance(v, list) else v for k, v in data.items()
-    }
-    return cls(**kwargs)
-
-
-def _profile_to_ref(registry: Registry, value) -> Union[str, Dict[str, Any]]:
-    """A registered profile serializes as its name, others inline."""
-    name = getattr(value, "name", None)
-    if name in registry and registry.get(name) == value:
-        return name
-    return _dataclass_to_dict(value)
-
-
-def _profile_from_ref(registry: Registry, cls, ref, what: str):
-    if isinstance(ref, str):
-        return registry.get(ref)
-    if isinstance(ref, dict):
-        return _dataclass_from_dict(cls, ref, what)
-    raise ValueError(
-        f"{what} must be a registered name (one of {sorted(registry.names())}) "
-        f"or an inline field mapping, got {type(ref).__name__}"
-    )
-
-
-def flow_to_dict(flow: FlowSpec) -> Dict[str, Any]:
-    """Serialize one :class:`FlowSpec` to a plain JSON-compatible dict."""
-    out: Dict[str, Any] = {}
-    for f in fields(FlowSpec):
-        value = getattr(flow, f.name)
-        if f.name == "netem":
-            out[f.name] = None if value is None else _dataclass_to_dict(value)
-        else:
-            out[f.name] = value
-    return out
-
-
-def flow_from_dict(data: Dict[str, Any]) -> FlowSpec:
-    """Build a :class:`FlowSpec` from a (possibly partial) dict.
-
-    Missing keys take the flow's defaults; unknown keys raise
-    ``ValueError`` naming the valid ones.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"flow must be a mapping, got {type(data).__name__}")
-    _reject_unknown(data, _field_names(FlowSpec), "flow")
-    kwargs = dict(data)
-    if kwargs.get("netem") is not None:
-        kwargs["netem"] = _dataclass_from_dict(
-            NetemConfig, kwargs["netem"], "flow netem"
-        )
-    return FlowSpec(**kwargs)
-
-
-def spec_to_dict(spec: ExperimentSpec) -> Dict[str, Any]:
-    """Serialize *spec* to a plain JSON-compatible dict (all fields).
-
-    The inverse of :func:`spec_from_dict`; the round trip is exact.
-    """
-    out: Dict[str, Any] = {}
-    for f in fields(ExperimentSpec):
-        value = getattr(spec, f.name)
-        if f.name == "device":
-            out[f.name] = _profile_to_ref(DEVICES, value)
-        elif f.name == "medium":
-            out[f.name] = _profile_to_ref(MEDIA, value)
-        elif f.name in ("netem", "costs"):
-            out[f.name] = None if value is None else _dataclass_to_dict(value)
-        elif f.name == "probes":
-            out[f.name] = list(value)
-        elif f.name == "flows":
-            out[f.name] = [flow_to_dict(flow) for flow in value]
-        else:
-            out[f.name] = value
-    return out
-
-
-def spec_from_dict(data: Dict[str, Any]) -> ExperimentSpec:
-    """Build an :class:`ExperimentSpec` from a (possibly partial) dict.
-
-    Missing keys take the spec's defaults; unknown keys raise
-    ``ValueError`` naming the valid ones, and device/medium names are
-    resolved through the component registries (unknown names raise with
-    the list of registered choices).
-    """
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"spec must be a mapping, got {type(data).__name__}"
-        )
-    _reject_unknown(data, _field_names(ExperimentSpec), "ExperimentSpec")
-    kwargs = dict(data)
-    if "device" in kwargs:
-        kwargs["device"] = _profile_from_ref(
-            DEVICES, DeviceProfile, kwargs["device"], "device"
-        )
-    if "medium" in kwargs:
-        kwargs["medium"] = _profile_from_ref(
-            MEDIA, MediumProfile, kwargs["medium"], "medium"
-        )
-    if kwargs.get("netem") is not None:
-        kwargs["netem"] = _dataclass_from_dict(
-            NetemConfig, kwargs["netem"], "netem"
-        )
-    if kwargs.get("costs") is not None:
-        kwargs["costs"] = _dataclass_from_dict(
-            CostModel, kwargs["costs"], "costs"
-        )
-    if "probes" in kwargs:
-        probes = kwargs["probes"]
-        if not isinstance(probes, (list, tuple)) or not all(
-            isinstance(p, str) for p in probes
-        ):
-            raise ValueError("probes must be a list of probe names")
-        kwargs["probes"] = tuple(probes)
-    if "flows" in kwargs:
-        flows = kwargs["flows"]
-        if not isinstance(flows, (list, tuple)):
-            raise ValueError("flows must be a list of flow mappings")
-        kwargs["flows"] = tuple(flow_from_dict(flow) for flow in flows)
-    return ExperimentSpec(**kwargs)
-
-
-def canonical_spec_json(spec: ExperimentSpec) -> str:
-    """The canonical wire-format serialization of *spec*, as one line.
-
-    Key-sorted, separator-minimal JSON over :func:`spec_to_dict`, so two
-    equal specs always produce the same byte string regardless of field
-    declaration order or how the spec was constructed (built in Python,
-    expanded from a scenario file, or round-tripped through a worker).
-    This is the string the result cache (:mod:`repro.cache`) hashes.
-    """
-    return json.dumps(spec_to_dict(spec), sort_keys=True,
-                      separators=(",", ":"))
-
-
-def spec_digest(spec: ExperimentSpec) -> str:
-    """SHA-256 hex digest of :func:`canonical_spec_json`.
-
-    The content address of one experiment: any spec mutation — a seed
-    bump, a different device, an extra probe — changes the digest, and
-    equal specs always share it.
-    """
-    return hashlib.sha256(canonical_spec_json(spec).encode("utf-8")).hexdigest()
-
-
 def expand_scenario_dicts(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Expand a scenario document into per-point spec dicts.
 
@@ -250,18 +71,18 @@ def expand_scenario_dicts(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
         raise ValueError(
             f"scenario must be a mapping, got {type(doc).__name__}"
         )
-    _reject_unknown(doc, _SCENARIO_KEYS, "scenario")
-    spec_keys = _field_names(ExperimentSpec)
+    reject_unknown_keys(doc, _SCENARIO_KEYS, "scenario")
+    spec_keys = field_names(ExperimentSpec)
 
     base = doc.get("base", {})
     if not isinstance(base, dict):
         raise ValueError("scenario 'base' must be a mapping")
-    _reject_unknown(base, spec_keys, "scenario base")
+    reject_unknown_keys(base, spec_keys, "scenario base")
 
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
         raise ValueError("scenario 'grid' must be a mapping")
-    _reject_unknown(grid, spec_keys, "scenario grid")
+    reject_unknown_keys(grid, spec_keys, "scenario grid")
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ValueError(
@@ -274,10 +95,10 @@ def expand_scenario_dicts(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
     for i, entry in enumerate(overrides):
         if not isinstance(entry, dict):
             raise ValueError(f"scenario override #{i} must be a mapping")
-        _reject_unknown(entry, _OVERRIDE_KEYS, f"scenario override #{i}")
-        _reject_unknown(entry.get("match", {}), spec_keys,
+        reject_unknown_keys(entry, _OVERRIDE_KEYS, f"scenario override #{i}")
+        reject_unknown_keys(entry.get("match", {}), spec_keys,
                         f"scenario override #{i} match")
-        _reject_unknown(entry.get("set", {}), spec_keys,
+        reject_unknown_keys(entry.get("set", {}), spec_keys,
                         f"scenario override #{i} set")
 
     axes = list(grid)

@@ -10,14 +10,12 @@ the CPU can afford, no more coarsely than necessary.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
-
-from typing import Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..devices import DeviceSetup
 from ..sim import EventLoop, PeriodicTimer
 from ..units import MSEC
-from .experiment import ExperimentSpec, ReplicatedResult
+from .spec import ExperimentSpec, ReplicatedResult
 
 __all__ = ["PAPER_STRIDES", "sweep_strides", "AdaptiveStrideController"]
 

@@ -8,23 +8,7 @@ reproducible in simulation: TCP stack operations are billed CPU cycles
 (:class:`~repro.cpu.cluster.BigLittleCpu`).
 """
 
-from .cluster import BigLittleCpu, CpuCluster
-from .core import CpuCore, WorkItem
-from .costs import DEFAULT_COSTS, ZERO_COSTS, CostModel
-from .governor import (
-    DynamicCpuPolicy,
-    PerformanceGovernor,
-    SchedutilGovernor,
-    ThermalModel,
-    UserspaceGovernor,
-)
-from .softirq import (
-    EXECUTORS,
-    FreeExecutor,
-    NetStackExecutor,
-    RpsExecutor,
-    StackExecutor,
-)
+from ..registry import Registry, lazy_exports
 
 __all__ = [
     "EXECUTORS",
@@ -45,3 +29,31 @@ __all__ = [
     "RpsExecutor",
     "FreeExecutor",
 ]
+
+#: name -> factory ``(BigLittleCpu) -> StackExecutor`` (spec ``executor=``
+#: values), by reference into :mod:`repro.cpu.softirq`
+EXECUTORS: Registry = Registry("executor")
+EXECUTORS.register_ref("serial", "repro.cpu.softirq:NetStackExecutor")
+EXECUTORS.register_ref("rps", "repro.cpu.softirq:RpsExecutor")
+EXECUTORS.register_ref("free", "repro.cpu.softirq:_free_executor")
+
+_SUBMODULES = {
+    ".cluster": ("BigLittleCpu", "CpuCluster"),
+    ".core": ("CpuCore", "WorkItem"),
+    ".costs": ("DEFAULT_COSTS", "ZERO_COSTS", "CostModel"),
+    ".governor": (
+        "DynamicCpuPolicy",
+        "PerformanceGovernor",
+        "SchedutilGovernor",
+        "ThermalModel",
+        "UserspaceGovernor",
+    ),
+    ".softirq": (
+        "FreeExecutor",
+        "NetStackExecutor",
+        "RpsExecutor",
+        "StackExecutor",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES, globals())

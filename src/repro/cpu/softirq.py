@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Callable, List
 
-from ..registry import Registry
 from .cluster import BigLittleCpu
 from .core import CpuCore, WorkItem
 
@@ -31,7 +30,6 @@ __all__ = [
     "NetStackExecutor",
     "RpsExecutor",
     "FreeExecutor",
-    "EXECUTORS",
 ]
 
 
@@ -170,9 +168,7 @@ class FreeExecutor(StackExecutor):
         return 0
 
 
-#: name -> factory ``(BigLittleCpu) -> StackExecutor`` (spec ``executor=``
-#: values); FreeExecutor ignores the topology by design.
-EXECUTORS: Registry = Registry("executor")
-EXECUTORS.register("serial", lambda cpu: NetStackExecutor(cpu))
-EXECUTORS.register("rps", lambda cpu: RpsExecutor(cpu))
-EXECUTORS.register("free", lambda cpu: FreeExecutor())
+def _free_executor(cpu: BigLittleCpu) -> FreeExecutor:
+    """The ``"free"`` entry of :data:`repro.cpu.EXECUTORS`: ignores the
+    topology by design."""
+    return FreeExecutor()

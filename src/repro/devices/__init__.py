@@ -1,7 +1,6 @@
 """Device profiles (Pixel 4 / Pixel 6) and Table 1 CPU configurations."""
 
-from .configs import CPU_CONFIGS, CpuConfig, DeviceSetup, build_device
-from .profiles import DEVICES, PIXEL_4, PIXEL_6, DeviceProfile
+from ..registry import lazy_exports
 
 __all__ = [
     "DeviceProfile",
@@ -13,3 +12,17 @@ __all__ = [
     "DeviceSetup",
     "build_device",
 ]
+
+_SUBMODULES = {
+    ".configs": ("DeviceSetup", "build_device"),
+    ".profiles": (
+        "CPU_CONFIGS",
+        "DEVICES",
+        "PIXEL_4",
+        "PIXEL_6",
+        "CpuConfig",
+        "DeviceProfile",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES, globals())

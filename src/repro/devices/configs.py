@@ -1,5 +1,9 @@
 """The four CPU configurations of Table 1 and the device builder.
 
+The configuration *names* (:class:`~repro.devices.profiles.CpuConfig`,
+:data:`~repro.devices.profiles.CPU_CONFIGS`; re-exported here) live with
+the profiles; this module holds the configurators they refer to.
+
 ``build_device(loop, profile, config)`` assembles a
 :class:`~repro.cpu.cluster.BigLittleCpu` with the right clusters
 enabled/disabled, pins or starts the right governor, and returns a
@@ -21,24 +25,10 @@ from ..cpu import (
     ThermalModel,
     UserspaceGovernor,
 )
-from ..registry import Registry
 from ..sim import EventLoop, Tracer, NULL_TRACER
-from .profiles import DeviceProfile
+from .profiles import CPU_CONFIGS, CpuConfig, DeviceProfile
 
 __all__ = ["CpuConfig", "CPU_CONFIGS", "DeviceSetup", "build_device"]
-
-
-class CpuConfig:
-    """Table 1's configuration names."""
-
-    LOW_END = "low-end"
-    MID_END = "mid-end"
-    HIGH_END = "high-end"
-    DEFAULT = "default"
-
-    # ALL is assigned from the CPU_CONFIGS registry below, so the tuple
-    # and the registry can never drift apart.
-    ALL: tuple
 
 
 @dataclass
@@ -99,17 +89,6 @@ def _dynamic_default(loop: EventLoop, setup: DeviceSetup, tracer: Tracer) -> Non
     # DEFAULT: dynamic scaling + migration + thermal envelope
     thermal = ThermalModel(sustained_hz=setup.profile.sustained_big_hz)
     setup.policy = DynamicCpuPolicy(loop, setup.cpu, thermal=thermal, tracer=tracer)
-
-
-#: name -> configurator ``(loop, DeviceSetup, tracer) -> None`` applying a
-#: Table 1 configuration to a freshly built topology
-CPU_CONFIGS: Registry = Registry("CPU config")
-CPU_CONFIGS.register(CpuConfig.LOW_END, _pin_low_end)
-CPU_CONFIGS.register(CpuConfig.MID_END, _pin_mid_end)
-CPU_CONFIGS.register(CpuConfig.HIGH_END, _pin_high_end)
-CPU_CONFIGS.register(CpuConfig.DEFAULT, _dynamic_default)
-
-CpuConfig.ALL = CPU_CONFIGS.names()
 
 
 def build_device(

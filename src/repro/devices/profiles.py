@@ -1,4 +1,4 @@
-"""Device profiles: Pixel 4 and Pixel 6 (§3.1, Table 1).
+"""Device profiles: Pixel 4 and Pixel 6 (§3.1), and Table 1's names.
 
 A :class:`DeviceProfile` captures what the reproduction needs from a
 phone SoC: the OPP (frequency) tables of the LITTLE and BIG clusters, the
@@ -15,6 +15,11 @@ Cortex-A55/X1 cores retire this workload in fewer effective cycles than
 the 855's (newer cores, better memory system), which is why the paper
 sees similar Low-End goodput on the Pixel 6 at 300 MHz as on the Pixel 4
 at 576 MHz (Figure 3).
+
+:class:`CpuConfig` and :data:`CPU_CONFIGS` name the four Table 1 CPU
+configurations; the configurators that apply them to a built topology
+live in :mod:`repro.devices.configs` and are registered here by
+reference, so this module stays importable without the CPU model.
 """
 
 from __future__ import annotations
@@ -25,7 +30,14 @@ from typing import Tuple
 from ..registry import Registry
 from ..units import ghz, mhz
 
-__all__ = ["DeviceProfile", "PIXEL_4", "PIXEL_6", "DEVICES"]
+__all__ = [
+    "DeviceProfile",
+    "PIXEL_4",
+    "PIXEL_6",
+    "DEVICES",
+    "CpuConfig",
+    "CPU_CONFIGS",
+]
 
 
 @dataclass(frozen=True)
@@ -99,3 +111,27 @@ PIXEL_6 = DeviceProfile(
 DEVICES: Registry = Registry("device")
 DEVICES.register(PIXEL_4.name, PIXEL_4)
 DEVICES.register(PIXEL_6.name, PIXEL_6)
+
+
+class CpuConfig:
+    """Table 1's configuration names."""
+
+    LOW_END = "low-end"
+    MID_END = "mid-end"
+    HIGH_END = "high-end"
+    DEFAULT = "default"
+
+    # ALL is assigned from the CPU_CONFIGS registry below, so the tuple
+    # and the registry can never drift apart.
+    ALL: tuple
+
+
+#: name -> configurator ``(loop, DeviceSetup, tracer) -> None`` applying a
+#: Table 1 configuration to a freshly built topology
+CPU_CONFIGS: Registry = Registry("CPU config")
+CPU_CONFIGS.register_ref(CpuConfig.LOW_END, "repro.devices.configs:_pin_low_end")
+CPU_CONFIGS.register_ref(CpuConfig.MID_END, "repro.devices.configs:_pin_mid_end")
+CPU_CONFIGS.register_ref(CpuConfig.HIGH_END, "repro.devices.configs:_pin_high_end")
+CPU_CONFIGS.register_ref(CpuConfig.DEFAULT, "repro.devices.configs:_dynamic_default")
+
+CpuConfig.ALL = CPU_CONFIGS.names()

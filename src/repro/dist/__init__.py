@@ -12,14 +12,7 @@ process costs at most one lease timeout of duplicated deterministic
 work.
 """
 
-from .coordinator import (
-    DistributedSweepError,
-    default_queue_dir,
-    grid_digest,
-    run_distributed,
-)
-from .queue import QueueStateError, Task, TaskQueue, new_worker_id
-from .worker import WorkerError, WorkerReport, run_worker
+from ..registry import lazy_exports
 
 __all__ = [
     "DistributedSweepError",
@@ -34,3 +27,16 @@ __all__ = [
     "run_distributed",
     "run_worker",
 ]
+
+_SUBMODULES = {
+    ".coordinator": (
+        "DistributedSweepError",
+        "default_queue_dir",
+        "grid_digest",
+        "run_distributed",
+    ),
+    ".queue": ("QueueStateError", "Task", "TaskQueue", "new_worker_id"),
+    ".worker": ("WorkerError", "WorkerReport", "run_worker"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES, globals())

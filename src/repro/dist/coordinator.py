@@ -37,8 +37,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cache import ResultCache, kernel_fingerprint, resolve_cache
-from ..core.experiment import ExperimentSpec
-from ..core.scenario import canonical_spec_json, spec_to_dict
+from ..core.spec import ExperimentSpec, canonical_spec_json, spec_to_dict
 from ..kernel import resolve_kernel
 from ..obs.ledger import RunLedger, resolve_ledger
 from ..obs.live import GridMonitor, progress_hit
@@ -206,6 +205,7 @@ def run_distributed(
                 monitor.record(progress_hit(i))
         else:
             pending.append((i, spec))
+    t_dispatch = time.perf_counter()
 
     digest = grid_digest(specs)
     queue = TaskQueue(queue_dir)
@@ -297,6 +297,7 @@ def run_distributed(
         )
 
     # Assembly: statuses from completion records, results from the cache.
+    t_store = time.perf_counter()
     outcome_by_index: Dict[int, Dict[str, Any]] = {}
     for record in queue.done_records().values():
         for point in record.get("points", []):
@@ -337,10 +338,11 @@ def run_distributed(
     if monitor is not None:
         monitor.finish()
 
+    t_end = time.perf_counter()
     report = GridReport(
         results=list(slots),
         jobs=max(1, len(seen_workers)),
-        wall_s=time.perf_counter() - t_start,
+        wall_s=t_end - t_start,
         total_events=total_events,
         errors=errors,
         cache_hits=len(hit_indices),
@@ -351,6 +353,14 @@ def run_distributed(
         kernel=manifest["kernel"],
         cache_hit_indices=frozenset(hit_indices),
         notices=notices,
+        # probe = the pre-scan, dispatch = publish + wait for the workers,
+        # store = reading the results back out of the shared cache
+        phase_s={
+            "expand": 0.0,
+            "probe": t_dispatch - t_start,
+            "dispatch": t_store - t_dispatch,
+            "store": t_end - t_store,
+        },
     )
     ledger_store = resolve_ledger(ledger)
     if ledger_store is not None:

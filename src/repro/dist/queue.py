@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -88,6 +87,8 @@ def new_worker_id() -> str:
     lives); the entropy suffix keeps ids unique across pid reuse and
     containers that all think they are ``localhost`` pid 1.
     """
+    import socket  # workers only: the coordinator never mints an id
+
     host = socket.gethostname().split(".")[0][:16] or "host"
     return f"{host}-{os.getpid()}-{os.urandom(2).hex()}"
 

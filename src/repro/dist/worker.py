@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..cache import ResultCache, kernel_fingerprint
-from ..core.scenario import spec_from_dict
+from ..core.spec import spec_from_dict
 from ..kernel import resolve_kernel
 from ..obs.ledger import RunLedger, ledger_enabled
 from ..obs.live import GridMonitor

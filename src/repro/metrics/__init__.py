@@ -1,10 +1,7 @@
 """Measurement and reporting: interval counters, accumulators, run
 aggregation, and text rendering of tables/figures."""
 
-from .collector import IntervalCounter, StatAccumulator
-from .fairness import goodput_shares, jain_fairness_index
-from .report import render_bars, render_series, render_table
-from .summary import MetricSummary, RunSet
+from ..registry import lazy_exports
 
 __all__ = [
     "IntervalCounter",
@@ -17,3 +14,12 @@ __all__ = [
     "render_series",
     "render_bars",
 ]
+
+_SUBMODULES = {
+    ".collector": ("IntervalCounter", "StatAccumulator"),
+    ".fairness": ("goodput_shares", "jain_fairness_index"),
+    ".report": ("render_bars", "render_series", "render_table"),
+    ".summary": ("MetricSummary", "RunSet"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES, globals())

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..sim import EventLoop
 from ..units import SEC
+
+if TYPE_CHECKING:  # annotation only: RunSet aggregation needs no event loop
+    from ..sim import EventLoop
 
 __all__ = ["IntervalCounter", "StatAccumulator"]
 

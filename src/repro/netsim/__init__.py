@@ -4,25 +4,7 @@ See :class:`~repro.netsim.testbed.Testbed` for the assembled Figure-1
 topology and :mod:`repro.netsim.media` for the Ethernet/WiFi/LTE profiles.
 """
 
-from .link import Link
-from .media import (
-    ETHERNET_LAN,
-    LTE_CELLULAR,
-    MEDIA,
-    WIFI_LAN,
-    MediumProfile,
-    VariableRateLink,
-    make_access_link,
-)
-from .packet import DEFAULT_MSS, HEADER_BYTES, Packet, SackBlock
-from .queue import DropTailQueue
-from .shaper import NetemConfig, NetemImpairment
-from .testbed import (
-    DEFAULT_PHONE_QDISC_SEGMENTS,
-    DEFAULT_ROUTER_BUFFER_SEGMENTS,
-    SenderPort,
-    Testbed,
-)
+from ..registry import lazy_exports
 
 __all__ = [
     "Link",
@@ -45,3 +27,27 @@ __all__ = [
     "DEFAULT_PHONE_QDISC_SEGMENTS",
     "DEFAULT_ROUTER_BUFFER_SEGMENTS",
 ]
+
+_SUBMODULES = {
+    ".link": ("Link",),
+    ".media": ("VariableRateLink", "make_access_link"),
+    ".packet": ("DEFAULT_MSS", "HEADER_BYTES", "Packet", "SackBlock"),
+    ".profiles": (
+        "ETHERNET_LAN",
+        "LTE_CELLULAR",
+        "MEDIA",
+        "WIFI_LAN",
+        "MediumProfile",
+        "NetemConfig",
+    ),
+    ".queue": ("DropTailQueue",),
+    ".shaper": ("NetemImpairment",),
+    ".testbed": (
+        "DEFAULT_PHONE_QDISC_SEGMENTS",
+        "DEFAULT_ROUTER_BUFFER_SEGMENTS",
+        "SenderPort",
+        "Testbed",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES, globals())

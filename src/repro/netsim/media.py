@@ -1,23 +1,22 @@
-"""Access media: Ethernet, WiFi, and LTE profiles (§3.2, Appendix A.1).
+"""Access links for the Ethernet, WiFi, and LTE media (§3.2, Appendix A.1).
 
-Each medium is described by a :class:`MediumProfile` (rates, base one-way
-delays, and variability). WiFi capacity follows an AR(1) (Gauss-Markov)
-process around its mean, which is the standard first-order model for slow
-fading plus contention; LTE is a low fixed-rate uplink with higher base
-delay — the regime in which the paper finds *no* BBR/Cubic gap because
-the network, not the CPU, is the bottleneck.
+Each medium is described by a :class:`~repro.netsim.profiles.MediumProfile`
+(rates, base one-way delays, and variability; re-exported here). WiFi
+capacity follows an AR(1) (Gauss-Markov) process around its mean, which
+is the standard first-order model for slow fading plus contention; LTE
+is a low fixed-rate uplink with higher base delay — the regime in which
+the paper finds *no* BBR/Cubic gap because the network, not the CPU, is
+the bottleneck.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
-from ..registry import Registry
 from ..sim import EventLoop, NULL_TRACER, PeriodicTimer, Tracer
-from ..units import MSEC, USEC, gbps, mbps, microseconds, milliseconds
 from .link import Link
+from .profiles import ETHERNET_LAN, LTE_CELLULAR, MEDIA, WIFI_LAN, MediumProfile
 
 __all__ = [
     "MediumProfile",
@@ -28,60 +27,6 @@ __all__ = [
     "VariableRateLink",
     "make_access_link",
 ]
-
-
-@dataclass(frozen=True)
-class MediumProfile:
-    """Static description of an access medium."""
-
-    name: str
-    #: uplink (phone -> router) capacity in bits/s
-    uplink_bps: float
-    #: downlink (router -> phone) capacity in bits/s
-    downlink_bps: float
-    #: one-way propagation/processing delay per direction, ns
-    one_way_delay_ns: int
-    #: relative std-dev of the AR(1) capacity process (0 = fixed rate)
-    rate_sigma: float = 0.0
-    #: AR(1) memory parameter in [0, 1); closer to 1 = slower fading
-    rate_phi: float = 0.9
-    #: capacity process update period, ns
-    rate_update_ns: int = 50 * MSEC
-
-
-#: Ethernet LAN via USB adapter: ~1 Gbps line rate, sub-millisecond RTT.
-ETHERNET_LAN = MediumProfile(
-    name="ethernet",
-    uplink_bps=gbps(1.0),
-    downlink_bps=gbps(1.0),
-    one_way_delay_ns=microseconds(250),
-)
-
-#: WiFi LAN, phone ~1 m from the AP: high but variable effective rate.
-WIFI_LAN = MediumProfile(
-    name="wifi",
-    uplink_bps=mbps(620.0),
-    downlink_bps=mbps(620.0),
-    one_way_delay_ns=milliseconds(1.0),
-    rate_sigma=0.12,
-    rate_phi=0.9,
-)
-
-#: T-Mobile LTE uplink: bandwidth-limited (<20 Mbps goodput in the paper).
-LTE_CELLULAR = MediumProfile(
-    name="lte",
-    uplink_bps=mbps(18.0),
-    downlink_bps=mbps(60.0),
-    one_way_delay_ns=milliseconds(30.0),
-    rate_sigma=0.08,
-    rate_phi=0.95,
-)
-
-#: name -> :class:`MediumProfile` (spec ``medium=`` scenario references)
-MEDIA: Registry = Registry("medium")
-MEDIA.register(ETHERNET_LAN.name, ETHERNET_LAN)
-MEDIA.register(WIFI_LAN.name, WIFI_LAN)
-MEDIA.register(LTE_CELLULAR.name, LTE_CELLULAR)
 
 
 class VariableRateLink(Link):

@@ -1,44 +1,23 @@
 """tc/netem-style impairments.
 
 The paper's testbed lets network conditions be set on the OpenWRT router
-with Linux ``tc`` (§3.2). :class:`NetemConfig` captures the knobs the
-reproduction needs — an egress rate limit, additional one-way delay,
-random loss, and the egress buffer depth — and the
-:class:`~repro.netsim.testbed.Testbed` applies them to the router's
-server-facing port.
+with Linux ``tc`` (§3.2). :class:`~repro.netsim.profiles.NetemConfig`
+(re-exported here) captures the knobs the reproduction needs — an egress
+rate limit, additional one-way delay, random loss, and the egress buffer
+depth — and the :class:`~repro.netsim.testbed.Testbed` applies them to
+the router's server-facing port.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..sim import EventLoop
 from .packet import Packet
+from .profiles import NetemConfig
 
 __all__ = ["NetemConfig", "NetemImpairment"]
-
-
-@dataclass(frozen=True)
-class NetemConfig:
-    """Router egress traffic-control settings.
-
-    ``rate_bps=None`` leaves the port at line rate. ``buffer_segments``
-    overrides the router's egress buffer depth (the §5.2.3 shallow-buffer
-    experiment uses 10).
-    """
-
-    rate_bps: Optional[float] = None
-    extra_delay_ns: int = 0
-    loss_probability: float = 0.0
-    buffer_segments: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_probability < 1.0:
-            raise ValueError("loss probability must be in [0, 1)")
-        if self.extra_delay_ns < 0:
-            raise ValueError("extra delay must be >= 0")
 
 
 class NetemImpairment:

@@ -14,7 +14,9 @@ structured manifest record to a JSONL file:
 * **grid records** (``kind="grid"``) — one grid invocation: per-point
   digests/labels/metrics (cache hits included, so a fully-cached re-run
   is still diffable), cache hit/miss/skip and chunk counters, per-point
-  :class:`~repro.runner.GridPointError` messages, and aggregate timing.
+  :class:`~repro.runner.GridPointError` messages, and aggregate timing
+  with its per-phase split (``phase_s``: expand / probe / dispatch /
+  store, see :class:`~repro.runner.GridReport`).
 
 The ledger lives under ``~/.cache/repro-bbr/ledger/`` next to the
 result cache (``REPRO_LEDGER_DIR`` overrides the location,
@@ -142,7 +144,7 @@ def run_record(
 ) -> Dict[str, Any]:
     """Build the manifest record for one completed experiment."""
     from ..cache import code_fingerprint
-    from ..core.scenario import spec_digest
+    from ..core.spec import spec_digest
     from ..kernel import resolve_kernel
 
     events = result.events_processed
@@ -177,7 +179,7 @@ def grid_record(
     summary this way) without being able to clobber the core schema.
     """
     from ..cache import code_fingerprint
-    from ..core.scenario import spec_digest
+    from ..core.spec import spec_digest
     from ..runner import GridPointError
 
     points: List[Dict[str, Any]] = []
@@ -211,6 +213,7 @@ def grid_record(
         "chunk": report.chunk,
         "errors": len(report.errors),
         "wall_s": report.wall_s,
+        "phase_s": dict(report.phase_s),
         "events": report.total_events,
         "events_per_sec": report.events_per_sec,
     })
@@ -253,7 +256,7 @@ class RunLedger:
 
     def write_spec_ref(self, spec) -> bool:
         """Store *spec*'s canonical JSON under its digest (idempotent)."""
-        from ..core.scenario import canonical_spec_json, spec_digest
+        from ..core.spec import canonical_spec_json, spec_digest
 
         path = self.spec_ref_path(spec_digest(spec))
         if os.path.exists(path):

@@ -1,6 +1,8 @@
 """The probe framework: named periodic samplers over a running testbed.
 
-A *probe* is a named factory registered in :data:`PROBES`. Given a
+A *probe* is a named factory registered in :data:`repro.obs.PROBES`
+(the built-in ones below by reference, so listing probe names imports
+nothing from here; extensions through :func:`probe`). Given a
 :class:`ProbeContext` (the live experiment components), it creates its
 :class:`~repro.obs.series.TimeSeries` objects through
 :meth:`ProbeContext.series` and returns a sampler callable that appends
@@ -20,9 +22,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..registry import Registry
 from ..sim import EventLoop, PeriodicTimer
 from ..units import MSEC, SEC
+from . import PROBES
 from .series import TimeSeries
 
 __all__ = ["PROBES", "ProbeContext", "ProbeSet", "DEFAULT_PROBE_PERIOD_NS", "probe"]
@@ -32,9 +34,6 @@ DEFAULT_PROBE_PERIOD_NS = 10 * MSEC
 
 #: a sampler takes the current simulated time and records one sample
 Sampler = Callable[[int], None]
-
-#: name -> probe factory ``(ProbeContext) -> Sampler``
-PROBES: Registry = Registry("probe")
 
 
 class ProbeContext:
@@ -80,7 +79,7 @@ class ProbeContext:
 
 
 def probe(name: str) -> Callable[[Callable], Callable]:
-    """Decorator: register a probe factory under *name*."""
+    """Decorator: register an extension probe factory under *name*."""
 
     def register(factory: Callable[[ProbeContext], Sampler]) -> Callable:
         PROBES.register(name, factory)
@@ -130,7 +129,6 @@ class ProbeSet:
 # --------------------------------------------------------------------------
 
 
-@probe("cwnd")
 def _cwnd_probe(ctx: ProbeContext) -> Sampler:
     """Mean congestion window across connections, in segments."""
     series = ctx.series("cwnd", "segments")
@@ -143,7 +141,6 @@ def _cwnd_probe(ctx: ProbeContext) -> Sampler:
     return sample
 
 
-@probe("inflight")
 def _inflight_probe(ctx: ProbeContext) -> Sampler:
     """Total unacknowledged segments in flight."""
     series = ctx.series("inflight", "segments")
@@ -155,7 +152,6 @@ def _inflight_probe(ctx: ProbeContext) -> Sampler:
     return sample
 
 
-@probe("pacing_rate")
 def _pacing_rate_probe(ctx: ProbeContext) -> Sampler:
     """Mean pacing rate across connections, in Mbps."""
     series = ctx.series("pacing_rate", "Mbps")
@@ -169,7 +165,6 @@ def _pacing_rate_probe(ctx: ProbeContext) -> Sampler:
     return sample
 
 
-@probe("srtt")
 def _srtt_probe(ctx: ProbeContext) -> Sampler:
     """Mean smoothed RTT across connections with an estimate, in ms."""
     series = ctx.series("srtt", "ms")
@@ -183,7 +178,6 @@ def _srtt_probe(ctx: ProbeContext) -> Sampler:
     return sample
 
 
-@probe("delivery_rate")
 def _delivery_rate_probe(ctx: ProbeContext) -> Sampler:
     """Aggregate ACK-clocked delivery rate over the last period, Mbps."""
     series = ctx.series("delivery_rate", "Mbps")
@@ -202,7 +196,6 @@ def _delivery_rate_probe(ctx: ProbeContext) -> Sampler:
     return sample
 
 
-@probe("goodput")
 def _goodput_probe(ctx: ProbeContext) -> Sampler:
     """Server-side in-order goodput over the last period, Mbps."""
     series = ctx.series("goodput", "Mbps")
@@ -219,7 +212,6 @@ def _goodput_probe(ctx: ProbeContext) -> Sampler:
     return sample
 
 
-@probe("bbr_state")
 def _bbr_state_probe(ctx: ProbeContext) -> Sampler:
     """First flow's CC mode (label) and pacing gain (value).
 
@@ -252,7 +244,6 @@ def _bbr_state_probe(ctx: ProbeContext) -> Sampler:
 # --------------------------------------------------------------------------
 
 
-@probe("cpu_util")
 def _cpu_util_probe(ctx: ProbeContext) -> Sampler:
     """Per-core busy fraction over the last period, plus the core sum."""
     cores = ctx.device.cpu.all_cores()
@@ -276,7 +267,6 @@ def _cpu_util_probe(ctx: ProbeContext) -> Sampler:
     return sample
 
 
-@probe("cpu_freq")
 def _cpu_freq_probe(ctx: ProbeContext) -> Sampler:
     """Per-core clock frequency in MHz."""
     cores = ctx.device.cpu.all_cores()
@@ -289,7 +279,6 @@ def _cpu_freq_probe(ctx: ProbeContext) -> Sampler:
     return sample
 
 
-@probe("softirq")
 def _softirq_probe(ctx: ProbeContext) -> Sampler:
     """Pending stack work items across cores (softirq backlog)."""
     series = ctx.series("softirq", "items")
@@ -306,7 +295,6 @@ def _softirq_probe(ctx: ProbeContext) -> Sampler:
 # --------------------------------------------------------------------------
 
 
-@probe("qdisc")
 def _qdisc_probe(ctx: ProbeContext) -> Sampler:
     """Phone-qdisc and router-buffer backlogs, in segments.
 
@@ -329,7 +317,6 @@ def _qdisc_probe(ctx: ProbeContext) -> Sampler:
 # --------------------------------------------------------------------------
 
 
-@probe("flow_goodput")
 def _flow_goodput_probe(ctx: ProbeContext) -> Sampler:
     """Per-flow server goodput over the last period, Mbps.
 
@@ -365,7 +352,6 @@ def _flow_goodput_probe(ctx: ProbeContext) -> Sampler:
     return sample
 
 
-@probe("flow_cwnd")
 def _flow_cwnd_probe(ctx: ProbeContext) -> Sampler:
     """Per-flow congestion window, one ``flow_cwnd.f<id>`` series each.
 

@@ -36,38 +36,39 @@ Two layers sit in front of the pool:
 
 The worker count comes from, in order: the ``jobs`` argument, the
 ``REPRO_JOBS`` environment variable, then ``os.cpu_count()``.
+
+This module belongs to the declarative layer (DESIGN.md §5): probing the
+cache, assembling the report and writing the ledger need no simulator,
+so a fully cached grid never loads one. The simulator
+(:mod:`repro.core.experiment`), the process-pool machinery and the live
+monitor's event constructors are imported where a point is actually
+computed or monitored.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue as queue_module
-import threading
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence,
+    Tuple, Union,
+)
 
 from .cache import ResultCache, resolve_cache
-from .core.experiment import (
+from .core.spec import (
     ExperimentResult,
     ExperimentSpec,
     ReplicatedResult,
-    run_experiment,
+    spec_from_dict,
+    spec_to_dict,
 )
-from .core.scenario import spec_from_dict, spec_to_dict
 from .kernel import KERNEL_ENV_VAR, compiled_components, resolve_kernel
 from .metrics.summary import RunSet
 from .obs.ledger import RunLedger, resolve_ledger
-from .obs.live import (
-    GridMonitor,
-    progress_done,
-    progress_error,
-    progress_hit,
-    progress_start,
-)
+
+if TYPE_CHECKING:
+    from .obs.live import GridMonitor
 
 __all__ = [
     "GridPointError",
@@ -160,6 +161,13 @@ class GridReport:
     #: degradations worth surfacing (kernel fallbacks, truncated traces);
     #: rendered by :meth:`summary_line` so they cannot pass silently
     notices: List[str] = field(default_factory=list)
+    #: wall seconds per phase, summing to :attr:`wall_s`: ``expand``
+    #: (materialize the point list), ``probe`` (fingerprint the code, then
+    #: digest + cache lookup per point), ``dispatch`` (pool spawn +
+    #: simulate; 0.0 when every point hit), ``store`` (cache write-back).
+    #: Carried into the ledger's grid record, so ``repro runs show`` says
+    #: where a run's time went without re-running it.
+    phase_s: Dict[str, float] = field(default_factory=dict)
 
     @property
     def points(self) -> int:
@@ -171,22 +179,27 @@ class GridReport:
         """Aggregate simulation event throughput over the wall clock."""
         return self.total_events / self.wall_s if self.wall_s > 0 else 0.0
 
+    def annotations(self) -> str:
+        """Chunk/kernel/cache suffix of a timing line (empty when default)."""
+        suffix = ""
+        if self.chunk > 1:
+            suffix += f" chunk={self.chunk}"
+        if self.kernel != "pure":
+            suffix += f" kernel={self.kernel}"
+            if self.kernel_components:
+                suffix += f"[{'+'.join(self.kernel_components)}]"
+        if self.cache_used:
+            suffix += f" cache hits={self.cache_hits} misses={self.cache_misses}"
+            if self.cache_skipped:
+                suffix += f" skipped={self.cache_skipped}"
+        return suffix
+
     def summary_line(self) -> str:
         """One-line human-readable timing summary."""
         line = (
             f"points={self.points} workers={self.jobs} "
             f"wall={self.wall_s:.2f}s events/sec={self.events_per_sec:,.0f}"
-        )
-        if self.chunk > 1:
-            line += f" chunk={self.chunk}"
-        if self.kernel != "pure":
-            line += f" kernel={self.kernel}"
-            if self.kernel_components:
-                line += f"[{'+'.join(self.kernel_components)}]"
-        if self.cache_used:
-            line += f" cache hits={self.cache_hits} misses={self.cache_misses}"
-            if self.cache_skipped:
-                line += f" skipped={self.cache_skipped}"
+        ) + self.annotations()
         if self.errors:
             line += f" errors={len(self.errors)}"
         for notice in self.notices:
@@ -305,6 +318,10 @@ def _run_point(
     indexed: Tuple[int, ExperimentSpec],
 ) -> Tuple[int, Optional[ExperimentResult], Optional[GridPointError]]:
     """Worker body: never raises, so one bad point can't kill the sweep."""
+    import traceback
+
+    from .core.experiment import run_experiment
+
     index, spec = indexed
     try:
         return index, run_experiment(spec), None
@@ -337,6 +354,8 @@ def _run_wire_point(
     spec = spec_from_dict(payload)
     if _PROGRESS_QUEUE is None:
         return _run_point((index, spec))
+    from .obs.live import progress_done, progress_error, progress_start
+
     _emit_progress(progress_start(index, spec.label()))
     t0 = time.perf_counter()
     outcome = _run_point((index, spec))
@@ -371,6 +390,8 @@ def _run_pending_serial(
     """The serial path, with in-process progress events when monitored."""
     if monitor is None:
         return [_run_point(item) for item in pending]
+    from .obs.live import progress_done, progress_error, progress_start
+
     outcomes: List[Outcome] = []
     for index, spec in pending:
         monitor.record(progress_start(index, spec.label()))
@@ -387,7 +408,7 @@ def _run_pending_serial(
 
 
 def run_grid_report(
-    specs: Sequence[ExperimentSpec],
+    specs: Iterable[ExperimentSpec],
     jobs: Optional[int] = None,
     raise_on_error: bool = True,
     cache: Union[None, bool, ResultCache] = None,
@@ -421,9 +442,10 @@ def run_grid_report(
     :attr:`GridReport.run_id`). Neither changes results, metrics,
     ordering, or error capture.
     """
+    start = time.perf_counter()
     specs = list(specs)
     jobs = resolve_jobs(jobs)
-    start = time.perf_counter()
+    probe_start = time.perf_counter()
 
     store = resolve_cache(cache)
     slots: List[Optional[Outcome]] = [None] * len(specs)
@@ -431,6 +453,8 @@ def run_grid_report(
     hit_indices: List[int] = []
     pending: List[Tuple[int, ExperimentSpec]]
     if store is not None:
+        if monitor is not None:
+            from .obs.live import progress_hit
         pending = []
         for i, spec in enumerate(specs):
             hit = store.get(spec)
@@ -444,6 +468,7 @@ def run_grid_report(
                 pending.append((i, spec))
     else:
         pending = list(enumerate(specs))
+    dispatch_start = time.perf_counter()
 
     jobs = min(jobs, len(pending)) if pending else 1
     chunk_size = 1
@@ -452,6 +477,12 @@ def run_grid_report(
         jobs = 1
         outcomes = _run_pending_serial(pending, monitor)
     else:
+        # The parent imports the simulator before the pool forks, so the
+        # workers inherit it loaded instead of importing it once each.
+        from concurrent.futures import ProcessPoolExecutor
+
+        from .core import experiment  # noqa: F401
+
         chunk_size = resolve_chunk(chunk, points=len(pending), jobs=jobs)
         if monitor is not None:
             monitor.chunk = chunk_size
@@ -471,6 +502,10 @@ def run_grid_report(
                 # only channel multiprocessing queues may travel); a
                 # coordinator-side thread drains it into the monitor
                 # while map() blocks on results.
+                import multiprocessing
+                import queue as queue_module
+                import threading
+
                 progress_queue = multiprocessing.get_context().Queue()
                 drain_stop = threading.Event()
 
@@ -514,6 +549,7 @@ def run_grid_report(
             if progress_queue is not None:
                 progress_queue.close()
 
+    store_start = time.perf_counter()
     cache_misses = cache_skipped = 0
     total_events = 0
     for index, result, error in outcomes:
@@ -525,7 +561,7 @@ def run_grid_report(
                 cache_misses += 1
         elif store is not None:
             cache_skipped += 1
-    wall = time.perf_counter() - start
+    end = time.perf_counter()
 
     results: List[Union[ExperimentResult, GridPointError]] = []
     errors: List[GridPointError] = []
@@ -553,7 +589,7 @@ def run_grid_report(
     report = GridReport(
         results=results,
         jobs=jobs,
-        wall_s=wall,
+        wall_s=end - start,
         total_events=total_events,
         errors=errors,
         cache_hits=cache_hits,
@@ -565,6 +601,12 @@ def run_grid_report(
         kernel_components=compiled_components(active_kernel),
         cache_hit_indices=frozenset(hit_indices),
         notices=notices,
+        phase_s={
+            "expand": probe_start - start,
+            "probe": dispatch_start - probe_start,
+            "dispatch": (store_start - dispatch_start) if pending else 0.0,
+            "store": end - store_start,
+        },
     )
     # The manifest is appended even when the grid is about to raise:
     # the ledger records what ran, including its failures.
@@ -621,9 +663,9 @@ def run_replicated_grid_report(
     :func:`run_grid_report`).
     """
     specs = list(specs)
-    flat: List[ExperimentSpec] = []
-    for spec in specs:
-        flat.extend(_replication_specs(spec, runs))
+    # A generator: run_grid_report materializes it inside its timed
+    # "expand" phase.
+    flat = (point for spec in specs for point in _replication_specs(spec, runs))
     report = run_grid_report(flat, jobs=jobs, cache=cache, chunk=chunk,
                              monitor=monitor, ledger=ledger)
     aggregates: List[ReplicatedResult] = []

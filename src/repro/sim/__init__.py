@@ -10,10 +10,7 @@ Public surface:
 * :class:`~repro.sim.trace.Tracer` — structured tracing.
 """
 
-from .engine import Event, EventLoop, SimulationError
-from .rng import RngStreams
-from .timer import PeriodicTimer, Timer
-from .trace import NULL_TRACER, TraceRecord, Tracer
+from ..registry import lazy_exports
 
 __all__ = [
     "Event",
@@ -26,3 +23,12 @@ __all__ = [
     "TraceRecord",
     "NULL_TRACER",
 ]
+
+_SUBMODULES = {
+    ".engine": ("Event", "EventLoop", "SimulationError"),
+    ".rng": ("RngStreams",),
+    ".timer": ("PeriodicTimer", "Timer"),
+    ".trace": ("NULL_TRACER", "TraceRecord", "Tracer"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES, globals())

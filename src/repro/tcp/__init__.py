@@ -11,20 +11,7 @@ Highlights:
 * :class:`~repro.tcp.pacing.PacingController` — Eq. 1/Eq. 2 of the paper.
 """
 
-from .connection import (
-    TCP_INIT_CWND,
-    FiniteSource,
-    InfiniteSource,
-    SocketConfig,
-    TcpSender,
-)
-from .pacing import PacingController, PacingMode
-from .rate_sample import DeliveryRateEstimator, RateSample, TxRecord
-from .receiver import TcpReceiverEndpoint
-from .rtt import MinRttFilter, RttEstimator
-from .scoreboard import AckOutcome, Scoreboard
-from .segmentation import GSO_MAX_BYTES, PACING_SHIFT, tso_autosize_bytes, tso_autosize_segments
-from .stack import MobileTcpStack, ServerHost
+from ..registry import lazy_exports
 
 __all__ = [
     "TcpSender",
@@ -49,3 +36,27 @@ __all__ = [
     "MobileTcpStack",
     "ServerHost",
 ]
+
+_SUBMODULES = {
+    ".connection": (
+        "TCP_INIT_CWND",
+        "FiniteSource",
+        "InfiniteSource",
+        "SocketConfig",
+        "TcpSender",
+    ),
+    ".pacing": ("PacingController", "PacingMode"),
+    ".rate_sample": ("DeliveryRateEstimator", "RateSample", "TxRecord"),
+    ".receiver": ("TcpReceiverEndpoint",),
+    ".rtt": ("MinRttFilter", "RttEstimator"),
+    ".scoreboard": ("AckOutcome", "Scoreboard"),
+    ".segmentation": (
+        "GSO_MAX_BYTES",
+        "PACING_SHIFT",
+        "tso_autosize_bytes",
+        "tso_autosize_segments",
+    ),
+    ".stack": ("MobileTcpStack", "ServerHost"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULES, globals())

@@ -29,23 +29,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..core.spec import PacingMode
 from ..units import SEC
 from .segmentation import GSO_MAX_BYTES, tso_autosize_bytes
 
 __all__ = ["PacingController", "PacingMode"]
-
-
-class PacingMode:
-    """How pacing is decided for a connection (§5's experiment knobs)."""
-
-    #: follow the congestion-control module (BBR: on, Cubic: off)
-    AUTO = "auto"
-    #: force pacing on (the §5.2.2 Cubic-with-pacing experiments)
-    ON = "on"
-    #: force pacing off (the §5.2.1 BBR-without-pacing experiments)
-    OFF = "off"
-
-    ALL = (AUTO, ON, OFF)
 
 
 class PacingController:

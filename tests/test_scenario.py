@@ -16,6 +16,7 @@ from repro import (
     CpuConfig,
     DuplicateNameError,
     Registry,
+    RegistryError,
     UnknownNameError,
     all_registries,
     expand_scenario,
@@ -81,6 +82,79 @@ def test_builtin_registries_populated():
     registries = all_registries()
     assert len(registries) == 6
     assert "probe" in registries and len(registries["probe"]) > 0
+
+
+def test_builtin_registries_list_the_documented_names_in_order():
+    """Registration order is the contract for ``choices=`` and ``repro list``:
+    holding references instead of objects must not reorder or rename."""
+    listed = {key: reg.names() for key, reg in all_registries().items()}
+    assert listed == {
+        "cc": ("cubic", "bbr", "bbr2", "reno"),
+        "executor": ("serial", "rps", "free"),
+        "medium": ("ethernet", "wifi", "lte"),
+        "device": ("pixel4", "pixel6"),
+        "cpu-config": ("low-end", "mid-end", "high-end", "default"),
+        "probe": (
+            "cwnd", "inflight", "pacing_rate", "srtt", "delivery_rate",
+            "goodput", "bbr_state", "cpu_util", "cpu_freq", "softirq",
+            "qdisc", "flow_goodput", "flow_cwnd",
+        ),
+    }
+
+
+def test_every_builtin_reference_resolves():
+    from repro.cc import Bbr
+    from repro.cpu import FreeExecutor
+
+    for reg in all_registries().values():
+        for name, item in reg.items():  # items() resolves every reference
+            assert item is reg.get(name) and not isinstance(item, str)
+    assert CC_ALGORITHMS.get("bbr") is Bbr
+    assert isinstance(EXECUTORS.get("free")(None), FreeExecutor)
+
+
+def test_registry_reference_is_imported_on_first_get_only():
+    reg = Registry("widget")
+    reg.register_ref("ordered", "collections:OrderedDict")
+    reg.register("eager", 1)
+    assert reg.names() == ("ordered", "eager")
+    assert "ordered" in reg and len(reg) == 2
+    import collections
+
+    assert reg.get("ordered") is collections.OrderedDict
+    assert reg.items() == [("ordered", collections.OrderedDict), ("eager", 1)]
+
+
+@pytest.mark.parametrize("target", [
+    "no_such_module_xyz:thing",      # module missing
+    "collections:NoSuchAttribute",   # attribute missing
+    "collections",                   # not module:attr
+])
+def test_registry_bad_reference_fails_at_get_naming_everything(target):
+    reg = Registry("widget")
+    reg.register_ref("broken", target)  # registering never imports
+    assert reg.names() == ("broken",)
+    with pytest.raises(RegistryError) as exc:
+        reg.get("broken")
+    message = str(exc.value)
+    assert "widget" in message and "'broken'" in message and target in message
+    assert not isinstance(exc.value, UnknownNameError)
+
+
+def test_registry_replace_of_a_lazily_registered_name():
+    reg = Registry("widget")
+    reg.register_ref("x", "no_such_module_xyz:thing")
+    with pytest.raises(DuplicateNameError):
+        reg.register("x", 1)
+    with pytest.raises(DuplicateNameError):
+        reg.register_ref("x", "collections:OrderedDict")
+    reg.register("x", 1, replace=True)  # the bad reference is never imported
+    assert reg.get("x") == 1
+    reg.register_ref("x", "collections:deque", replace=True)
+    import collections
+
+    assert reg.get("x") is collections.deque
+    assert reg.names() == ("x",)
 
 
 def test_registered_cc_extension_reaches_experiment():
