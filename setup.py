@@ -17,20 +17,33 @@ reference. Control via the ``REPRO_BUILD_CKERNEL`` environment variable:
 Build in place for a source checkout with::
 
     python setup.py build_ext --inplace
+
+The same command byte-compiles ``src/repro`` into ``__pycache__``
+(whatever ``REPRO_BUILD_CKERNEL`` says), so that no ``repro`` process has
+to compile the package from source at start-up — which every process
+does where ``PYTHONDONTWRITEBYTECODE`` stops the import system caching
+it as a side effect. The files carry the interpreter's own source
+mtime + size check: an edited module is recompiled on its next import.
 """
 
+import compileall
 import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
+PACKAGE_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "src", "repro")
+
+
 class OptionalBuildExt(build_ext):
-    """Build the C kernel if possible; otherwise install pure-python.
+    """Build the C kernel if possible, then byte-compile the package.
 
     ``repro.kernel`` copes with the extension being absent at import
-    time, so swallowing the compile failure here leaves a fully working
-    (just slower) installation.
+    time, and the interpreter with bytecode being absent, so swallowing
+    either failure here leaves a fully working (just slower)
+    installation.
     """
 
     def run(self):
@@ -38,6 +51,14 @@ class OptionalBuildExt(build_ext):
             super().run()
         except Exception as exc:  # compiler missing, headers missing, ...
             self._fall_back(exc)
+        # Not forced: up-to-date files are only stat()ed, so a rebuild of
+        # the kernel does not recompile the package.
+        if not compileall.compile_dir(PACKAGE_DIR, quiet=1):
+            print(
+                "repro: could not byte-compile every module under "
+                f"{PACKAGE_DIR} (see above); each process will compile "
+                "those from source when it imports them"
+            )
 
     def build_extension(self, ext):
         try:
@@ -57,7 +78,6 @@ class OptionalBuildExt(build_ext):
 
 if os.environ.get("REPRO_BUILD_CKERNEL") == "0":
     ext_modules = []
-    cmdclass = {}
 else:
     ext_modules = [
         Extension(
@@ -66,6 +86,5 @@ else:
             extra_compile_args=["-O2"],
         )
     ]
-    cmdclass = {"build_ext": OptionalBuildExt}
 
-setup(ext_modules=ext_modules, cmdclass=cmdclass)
+setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})

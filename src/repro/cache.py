@@ -26,7 +26,7 @@ Entries live under ``~/.cache/repro-bbr/<fingerprint>/<digest>.json``
 scalar metrics, per-flow goodputs, and any probe time series — as
 compact JSON. JSON round-trips Python ints exactly and floats via
 ``repr``, so a cache hit reproduces the fresh run's metrics
-bit-identically. Writes are atomic (``tempfile`` + ``os.replace``), so
+bit-identically. Writes are atomic (temp file + ``os.replace``), so
 concurrent grid runners can share one cache directory safely; corrupt or
 truncated entries read back as misses.
 
@@ -40,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Union
 
@@ -51,6 +50,7 @@ from .core.spec import (
     spec_from_dict,
     spec_to_dict,
 )
+from .obs.ledger import atomic_write_text
 from .obs.series import TimeSeries
 
 __all__ = [
@@ -115,7 +115,10 @@ def code_fingerprint() -> str:
     if _code_fingerprint is None:
         root = os.path.dirname(os.path.abspath(__file__))
         paths = []
-        for dirpath, _dirnames, filenames in os.walk(root):
+        for dirpath, dirnames, filenames in os.walk(root):
+            # a build leaves one per package directory; nothing in them
+            # is source
+            dirnames[:] = [d for d in dirnames if d != "__pycache__"]
             for filename in filenames:
                 if filename.endswith((".py", ".c")):
                     full = os.path.join(dirpath, filename)
@@ -301,22 +304,8 @@ class ResultCache:
         are swallowed: a cache that cannot persist must not fail runs.
         """
         payload = json.dumps(result_to_dict(result), separators=(",", ":"))
-        path = self.entry_path(spec)
         try:
-            os.makedirs(self.version_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.version_dir, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write_text(self.entry_path(spec), payload)
         except OSError:
             return False
         return True

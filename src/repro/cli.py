@@ -682,7 +682,12 @@ def _scenario_files() -> List[str]:
 
 
 def _cmd_list(args, out) -> int:
-    from .kernel import KERNELS, compiled_components
+    from .kernel import (
+        BUILD_COMMAND,
+        KERNELS,
+        bytecode_state,
+        compiled_components,
+    )
     from .registry import all_registries
 
     sections = {
@@ -719,6 +724,7 @@ def _cmd_list(args, out) -> int:
             }
             for _, kernel in KERNELS.items()
         }
+        payload["bytecode"] = bytecode_state()
         _emit_json(payload, out)
         return 0
     width = max(len(title) for title in sections.values())
@@ -730,7 +736,12 @@ def _cmd_list(args, out) -> int:
     kernel_entries = ", ".join(
         _kernel_entry(kernel) for _, kernel in KERNELS.items()
     )
-    out.write(f"{'kernels'.rjust(width)}: {kernel_entries}\n")
+    bytecode = bytecode_state()
+    if bytecode == "source":
+        # every process is compiling the package as it starts
+        bytecode += f" (run '{BUILD_COMMAND}' to cache it)"
+    out.write(f"{'kernels'.rjust(width)}: {kernel_entries}; "
+              f"bytecode={bytecode}\n")
     return 0
 
 
@@ -1112,19 +1123,24 @@ _COMMANDS: Dict[str, _Command] = {
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """Construct the CLI argument parser.
 
-    Every subcommand is registered (``repro --help`` and the
-    invalid-choice error list them all); with *command* given, only that
-    one gets its arguments, which is all :func:`main` needs.
+    With a valid *command*, only that subcommand is registered, which is
+    all :func:`main` needs to parse an invocation of it; otherwise all of
+    them are, for ``repro --help`` and the invalid-choice error to list.
     """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Are Mobiles Ready for BBR?' experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, entry in _COMMANDS.items():
-        sub_parser = sub.add_parser(name, help=entry.help)
-        if command is None or name == command:
-            entry.add_arguments(sub_parser)
+    names = list(_COMMANDS)
+    if command in _COMMANDS:
+        # the usage line above an "unrecognized arguments" error is the
+        # top-level parser's, and keeps naming every command
+        sub.metavar = "{%s}" % ",".join(names)
+        names = [command]
+    for name in names:
+        _COMMANDS[name].add_arguments(
+            sub.add_parser(name, help=_COMMANDS[name].help))
     return parser
 
 
@@ -1146,7 +1162,18 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         # this prints the fallback notice before any output, not midway
         # through a grid.
         resolve_kernel(args.kernel)
-    return _COMMANDS[args.command].handler(args, out)
+    try:
+        code = _COMMANDS[args.command].handler(args, out)
+        out.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`repro runs show ID | head`):
+        # a normal end. The interpreter flushes sys.stdout once more as it
+        # exits; pointed at devnull, that flush has nothing to complain of.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,12 +10,14 @@ the CPU can afford, no more coarsely than necessary.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..devices import DeviceSetup
-from ..sim import EventLoop, PeriodicTimer
 from ..units import MSEC
 from .spec import ExperimentSpec, ReplicatedResult
+
+if TYPE_CHECKING:
+    from ..devices import DeviceSetup
+    from ..sim import EventLoop
 
 __all__ = ["PAPER_STRIDES", "sweep_strides", "AdaptiveStrideController"]
 
@@ -85,6 +87,10 @@ class AdaptiveStrideController:
         device: DeviceSetup,
         period_ns: int = 500 * MSEC,
     ):
+        # the controller runs inside a simulation; sweep_strides above
+        # only describes one, and must load without the simulator
+        from ..sim.timer import PeriodicTimer
+
         self._loop = loop
         self._connections = list(connections)
         self._device = device

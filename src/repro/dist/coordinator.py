@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-import subprocess
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..cache import ResultCache, kernel_fingerprint, resolve_cache
 from ..core.spec import ExperimentSpec, canonical_spec_json, spec_to_dict
@@ -48,6 +49,9 @@ from ..runner import (
     resolve_chunk,
 )
 from .queue import QUEUE_FORMAT_VERSION, TaskQueue
+
+if TYPE_CHECKING:
+    import subprocess
 
 __all__ = [
     "DistributedSweepError",
@@ -103,6 +107,8 @@ def _spawn_local_worker(
     Worker stdout is discarded — the coordinator owns the terminal —
     but stderr passes through so a crashing worker is never silent.
     """
+    import subprocess  # a resumed or workers=0 sweep spawns nothing
+
     import repro
 
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -282,14 +288,16 @@ def run_distributed(
             time.sleep(poll_s)
     finally:
         queue.request_stop()
+        if procs:
+            from subprocess import TimeoutExpired
         for p in procs:
             try:
                 p.wait(timeout=30.0)
-            except subprocess.TimeoutExpired:
+            except TimeoutExpired:
                 p.terminate()
                 try:
                     p.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
+                except TimeoutExpired:
                     p.kill()
     if reclaim_total:
         notices.append(

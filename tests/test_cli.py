@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,72 @@ def run_cli(argv):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return list(action.choices)
+
+
+def test_parser_for_one_command_registers_only_that_command():
+    everything = build_parser()
+    assert len(_subcommands(everything)) == 11
+    grid = build_parser("grid")
+    assert _subcommands(grid) == ["grid"]
+    # ... and still prints the usage line that names them all
+    assert grid.format_usage() == everything.format_usage()
+    assert grid.parse_args(["grid", "--scenario", "x"]).scenario == "x"
+    assert _subcommands(build_parser("bogus")) == _subcommands(everything)
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    ([], 2, "repro: error: the following arguments are required: command\n"),
+    (["bogus"], 2,
+     "repro: error: argument command: invalid choice: 'bogus' (choose from "
+     "'run', 'grid', 'sweep', 'worker', 'compare', 'sweep-strides', 'cache', "
+     "'runs', 'perf', 'report', 'list')\n"),
+    (["grid", "--scenario", "x", "--bogus"], 2,
+     "repro: error: unrecognized arguments: --bogus\n"),
+    (["--help"], 0, ""),
+])
+def test_top_level_help_and_errors_name_every_command(argv, code, message,
+                                                      capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == code
+    captured = capsys.readouterr()
+    everything = build_parser()
+    if code:
+        assert captured.err == everything.format_usage() + message
+    else:
+        assert captured.out == everything.format_help()
+
+
+def test_reader_closing_the_pipe_early_is_a_normal_end(tmp_path):
+    """``repro runs show ID | head -1``: no traceback, exit status 0."""
+    from repro import RunLedger
+
+    ledger = RunLedger(root=str(tmp_path / "ledger"))
+    # far more JSON than a pipe (64 KiB) and the reader's buffer hold, so
+    # the command is still writing when the read end goes away
+    ledger.append({"v": 1, "id": "big1", "kind": "grid", "ts": 0.0,
+                   "points": [{"digest": f"{i:064x}", "label": "x" * 64}
+                              for i in range(4000)]})
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "runs", "show", "big1"],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src),
+             "REPRO_LEDGER_DIR": ledger.root},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0, stderr
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert stderr == ""
 
 
 def test_run_text_output():

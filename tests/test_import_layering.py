@@ -32,7 +32,7 @@ DECLARATIVE = {
     "repro.dist", "repro.metrics", "repro.netsim", "repro.obs", "repro.sim",
     "repro.tcp",
     "repro.core.spec", "repro.core.flows", "repro.core.scenario",
-    "repro.core.analysis",
+    "repro.core.analysis", "repro.core.stride",
     "repro.cpu.costs", "repro.devices.profiles", "repro.netsim.profiles",
     "repro.metrics.collector", "repro.metrics.fairness",
     "repro.metrics.report", "repro.metrics.summary",
@@ -44,7 +44,7 @@ DECLARATIVE = {
 #: modules that simulate (or instrument a simulation); they may import
 #: anything, nothing above may import them outside a function body
 SIMULATOR = {
-    "repro.core.experiment", "repro.core.stride",
+    "repro.core.experiment",
     "repro.sim.engine", "repro.sim.rng", "repro.sim.timer", "repro.sim.trace",
     "repro.cpu.cluster", "repro.cpu.core", "repro.cpu.governor",
     "repro.cpu.softirq", "repro.devices.configs",
@@ -59,8 +59,11 @@ SIMULATOR = {
     "repro.obs.probes", "repro.obs.profiler", "repro.obs.trace_export",
 }
 
-#: process-pool machinery a cached re-run has no use for
-POOL_STDLIB = {"multiprocessing", "concurrent.futures", "socket"}
+#: process-pool machinery a cached re-run has no use for, and what only
+#: spawning a worker (subprocess) or writing a file atomically (tempfile,
+#: which loads shutil, random, bisect, lzma, bz2) needs
+POOL_STDLIB = {"multiprocessing", "concurrent.futures", "socket",
+               "subprocess", "tempfile"}
 
 
 def _source_modules():
@@ -239,3 +242,13 @@ def test_warm_grid_loads_no_simulator_and_cold_grid_loads_it_in_the_parent(
     serial = ["grid", "--scenario", SMOKE, "--jobs", "1", "--no-cache",
               "--json"]
     assert _output(_run(_main(serial), tmp_path)) == _output(cold_out)
+
+
+def test_warm_stride_sweep_loads_no_simulator(tmp_path):
+    sweep = ["sweep-strides", "--connections", "1", "--duration", "0.6",
+             "--warmup", "0.2", "--strides", "1", "5", "--jobs", "1", "--json"]
+    cold_out = _run(_main(sweep) + _REPORT_MODULES, tmp_path)
+    assert "repro.tcp.connection" in _loaded(cold_out)
+    warm_out = _run(_main(sweep) + _REPORT_MODULES, tmp_path)
+    _assert_no_simulator(_loaded(warm_out))
+    assert _output(warm_out) == _output(cold_out)
