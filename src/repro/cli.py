@@ -18,7 +18,6 @@ Examples::
     python -m repro cache stats
     python -m repro runs list
     python -m repro runs diff 68a1b2c3 68a1d4e5
-    python -m repro perf trend
     python -m repro list
 
 ``run`` executes one experiment (optionally replicated), ``grid``
@@ -40,10 +39,8 @@ runs of an unchanged grid are served from disk (the timing line reports
 ``cache hits=... misses=...``); ``--no-cache`` forces recomputation.
 Every experiment/grid invocation also appends a manifest record to the
 run ledger (:mod:`repro.obs.ledger`; ``REPRO_LEDGER=off`` disables it);
-``runs`` lists, shows, diffs, and prunes those records, and ``perf
-trend`` renders the harness history in
-``benchmarks/results/BENCH_history.jsonl``. ``grid --live`` (or
-sweep-strides ``--status``) renders an in-place progress line — points
+``runs`` lists, shows, diffs, and prunes those records. ``grid --live``
+(or sweep-strides ``--status``) renders an in-place progress line — points
 done, chunks, cache hits, events/sec per worker, ETA — from the worker
 heartbeat stream (:mod:`repro.obs.live`); ``--metrics-out`` exports the
 final telemetry as OpenMetrics text.
@@ -304,24 +301,6 @@ def _add_runs_arguments(p: argparse.ArgumentParser) -> None:
         "path", help="print the ledger file ($REPRO_LEDGER_DIR overrides)")
 
 
-def _add_perf_arguments(p: argparse.ArgumentParser) -> None:
-    sub = p.add_subparsers(dest="perf_command", required=True)
-    trend_p = sub.add_parser(
-        "trend", help="render the events/sec trajectory from "
-                      "BENCH_history.jsonl")
-    trend_p.add_argument("--history", metavar="FILE",
-                         default=os.path.join("benchmarks", "results",
-                                              "BENCH_history.jsonl"),
-                         help="history JSONL written by the perf harness")
-    trend_p.add_argument("--check-regression", type=float, default=None,
-                         metavar="PCT",
-                         help="exit 1 when the newest entry sits more than "
-                              "PCT%% below the median of earlier comparable "
-                              "entries")
-    trend_p.add_argument("--json", action="store_true",
-                         help="emit the raw history as JSON")
-
-
 def _add_report_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("series_file", metavar="FILE",
                    help="JSON file written by 'repro run --series-out'")
@@ -506,7 +485,7 @@ def _instrumented_run(args, spec, out):
     one experiment here instead.
     """
     from .core.experiment import run_experiment
-    from .kernel import KERNEL_ENV_VAR
+    from .kernel import requested_kernel
     from .obs.profiler import SimProfiler
     from .obs.trace_export import export_chrome_trace, export_jsonl
     from .sim.trace import Tracer
@@ -525,11 +504,11 @@ def _instrumented_run(args, spec, out):
     wall = time.perf_counter() - start
     agg = _single_run_agg(spec, result)
     notices: List[str] = []
-    requested_kernel = os.environ.get(KERNEL_ENV_VAR) or "pure"
-    if requested_kernel != "pure":
+    asked_kernel = requested_kernel()
+    if asked_kernel != "pure":
         notices.append(
             f"instrumented run: pure kernel used instead of "
-            f"{requested_kernel!r}"
+            f"{asked_kernel!r}"
         )
     if tracer is not None:
         if tracer.dropped_records:
@@ -879,46 +858,6 @@ def _cmd_runs(args, out) -> int:
     return code
 
 
-def _cmd_perf(args, out) -> int:
-    from .obs import perf_trend
-
-    history = perf_trend.load_history(args.history)
-    if not history:
-        sys.stderr.write(
-            f"error: no history entries in {args.history!r} "
-            "(benchmarks/perf_harness.py appends one per invocation)\n")
-        return 2
-    if args.json:
-        _emit_json(history, out)
-    else:
-        out.write(perf_trend.render_trend(history) + "\n")
-    if args.check_regression is None:
-        return 0
-    latest = history[-1]
-    prior = perf_trend.comparable_entries(
-        history[:-1], kernel=latest.get("kernel"),
-        quick=bool(latest.get("quick")), cpu_count=latest.get("cpu_count"))
-    if not prior:
-        out.write("# regression gate: no earlier comparable entries "
-                  "(kernel/quick/cpus must match); nothing to gate\n")
-        return 0
-    baseline = perf_trend.median_baseline(prior)
-    current = {name: float(value)
-               for name, value in latest.get("events_per_sec", {}).items()}
-    regressed = perf_trend.check_trend(current, baseline,
-                                       args.check_regression)
-    if regressed:
-        for name, gain in regressed:
-            out.write(f"# REGRESSION {name}: {gain:+.1%} vs the median of "
-                      f"{len(prior)} comparable entries "
-                      f"(budget -{args.check_regression:g}%)\n")
-        return 1
-    out.write(f"# regression gate: ok — {len(current)} point(s) within "
-              f"{args.check_regression:g}% of the {len(prior)}-entry "
-              "median\n")
-    return 0
-
-
 def _single_run_agg(spec, result) -> ReplicatedResult:
     """Wrap one grid result as a 1-run aggregate for the table renderer."""
     from .core.spec import ReplicatedResult
@@ -1111,8 +1050,6 @@ _COMMANDS: Dict[str, _Command] = {
     "runs": _Command("inspect the run ledger (the append-only history of "
                      "every experiment/grid invocation)",
                      _add_runs_arguments, _cmd_runs),
-    "perf": _Command("performance-trajectory tooling over the harness history",
-                     _add_perf_arguments, _cmd_perf),
     "report": _Command("render probe time series saved by 'run --series-out'",
                        _add_report_arguments, _cmd_report),
     "list": _Command("list registered components (CCs, media, devices, ...)",

@@ -265,7 +265,7 @@ def run_distributed(
                 monitor.update_workers(queue.worker_snapshots())
             if len(folded) == len(chunk_ids):
                 break
-            reclaimed = queue.reclaim_expired()
+            reclaimed = queue.reclaim_expired(lease_s=lease_s)
             if reclaimed:
                 reclaim_total += len(reclaimed)
             if procs and all(p.poll() is not None for p in procs):

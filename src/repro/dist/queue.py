@@ -41,7 +41,9 @@ and reads whole files — cheap enough to run every half second against a
 Clocks: lease expiry compares a wall-clock stamp written by the worker
 against the reader's wall clock. Hosts sharing a queue are assumed
 NTP-sane; the default lease (60 s) dwarfs realistic skew, and the only
-cost of a wrong reclaim is duplicated deterministic work.
+cost of a wrong reclaim is duplicated deterministic work. A claimed but
+not yet stamped lease has no worker clock in it: the reader ages it on
+its own clock, from when it first saw it.
 """
 
 from __future__ import annotations
@@ -135,6 +137,9 @@ class TaskQueue:
 
     def __init__(self, root: str):
         self.root = os.path.abspath(root)
+        #: lease file -> when :meth:`reclaim_expired` first saw it
+        #: claimed (renamed into ``leases/``) but not yet stamped
+        self._unstamped_since: Dict[str, float] = {}
 
     # -- paths ---------------------------------------------------------------
 
@@ -341,13 +346,18 @@ class TaskQueue:
                 pass
         return path
 
-    def reclaim_expired(self, now: Optional[float] = None) -> List[str]:
+    def reclaim_expired(self, now: Optional[float] = None,
+                        lease_s: float = 60.0) -> List[str]:
         """Move expired leases back to ``tasks/``; returns their names.
 
         Called by the coordinator's poll loop. A lease whose stamp is
         past expiry — or unreadable, which a healthy worker would have
         re-stamped within a renewal period — is republished for any
-        worker to re-claim. A chunk whose completion record already
+        worker to re-claim. A lease file with no stamp at all is a claim
+        in progress (the winner renames first and stamps next): it is
+        left alone until this caller has seen it unstamped for *lease_s*,
+        which is how a worker that died between the two steps is still
+        recovered. A chunk whose completion record already
         exists is not republished (the worker finished but died before
         releasing the lease); its lease is simply dropped.
         """
@@ -357,6 +367,7 @@ class TaskQueue:
             names = sorted(os.listdir(self.leases_dir))
         except OSError:
             return reclaimed
+        unstamped_since, self._unstamped_since = self._unstamped_since, {}
         for name in names:
             if not name.startswith(_CHUNK_PREFIX):
                 continue
@@ -364,7 +375,13 @@ class TaskQueue:
             payload = _read_json(lease_path)
             if payload is None:
                 continue  # mid-rewrite; the next poll sees the new stamp
-            expires = (payload.get("lease") or {}).get("expires_ts", 0.0)
+            lease = payload.get("lease")
+            if lease is None:
+                since = unstamped_since.get(name, now)
+                if now - since < lease_s:
+                    self._unstamped_since[name] = since
+                    continue
+            expires = (lease or {}).get("expires_ts", 0.0)
             try:
                 expired = float(expires) <= now
             except (TypeError, ValueError):

@@ -36,6 +36,7 @@ __all__ = [
     "Kernel",
     "KERNELS",
     "KERNEL_ENV_VAR",
+    "requested_kernel",
     "resolve_kernel",
     "compiled_for",
     "compiled_components",
@@ -180,6 +181,29 @@ KERNELS.register("pure", Kernel("pure", _make_pure_loop))
 KERNELS.register("compiled", _CompiledKernel())
 
 
+def requested_kernel(name: Optional[str] = None) -> str:
+    """The backend asked for: *name* > ``REPRO_KERNEL`` > ``"pure"``.
+
+    What :func:`resolve_kernel` starts from, and what a notice about a
+    fallback must quote. An empty or whitespace-only ``REPRO_KERNEL``
+    means "unset"; a junk one fails fast with a :class:`ValueError` that
+    names the variable and enumerates the registered backends (same
+    hardening as ``resolve_jobs`` for ``REPRO_JOBS``) — an inherited
+    environment must never silently select the wrong backend.
+    """
+    if name:
+        return name
+    env = os.environ.get(KERNEL_ENV_VAR, "")
+    requested = env.strip() or "pure"
+    if requested not in KERNELS:
+        choices = ", ".join(sorted(KERNELS.names()))
+        raise ValueError(
+            f"{KERNEL_ENV_VAR} must name a registered kernel "
+            f"(one of: {choices}), got {env!r}"
+        )
+    return requested
+
+
 def resolve_kernel(
     name: Optional[str] = None,
     instrumented: bool = False,
@@ -196,27 +220,11 @@ def resolve_kernel(
     * the compiled extension is requested but not importable on this
       machine (not built, or no compiler at install time).
 
-    Unknown names raise :class:`repro.registry.UnknownNameError`; a junk
-    ``REPRO_KERNEL`` value fails fast with a :class:`ValueError` that
-    names the variable and enumerates the registered backends (same
-    hardening as ``resolve_jobs`` for ``REPRO_JOBS``) — an inherited
-    environment must never silently select the wrong backend. An empty
-    or whitespace-only ``REPRO_KERNEL`` means "unset".
+    Unknown names raise :class:`repro.registry.UnknownNameError`; the
+    environment is read by :func:`requested_kernel` (blank means unset,
+    junk raises :class:`ValueError`).
     """
-    if name:
-        requested = name
-    else:
-        env = os.environ.get(KERNEL_ENV_VAR, "")
-        requested = env.strip()
-        if requested and requested not in KERNELS:
-            choices = ", ".join(sorted(KERNELS.names()))
-            raise ValueError(
-                f"{KERNEL_ENV_VAR} must name a registered kernel "
-                f"(one of: {choices}), got {env!r}"
-            )
-        if not requested:
-            requested = "pure"
-    kernel = KERNELS.get(requested)
+    kernel = KERNELS.get(requested_kernel(name))
     if kernel.name == "pure":
         return kernel
     if instrumented:

@@ -13,9 +13,7 @@ any experiment into those figures:
 * :mod:`repro.obs.ledger` — the persistent run ledger (every
   experiment/grid invocation appends a manifest record),
 * :mod:`repro.obs.live` — live grid progress: worker heartbeat events,
-  the in-place status view, OpenMetrics/JSONL exports,
-* :mod:`repro.obs.perf_trend` — the perf-trajectory sentinel over
-  ``BENCH_history.jsonl``.
+  the in-place status view, OpenMetrics/JSONL exports.
 """
 
 from ..registry import Registry, lazy_exports

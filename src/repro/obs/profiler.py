@@ -5,8 +5,9 @@ fired, how much *simulated* time elapsed while that callback type was at
 the head of the calendar queue, and how much *wall-clock* time the
 Python callback consumed. The event loop only pays for this when a
 profiler is installed (:meth:`repro.sim.engine.EventLoop.set_profiler`);
-the disabled dispatch path is unchanged — verified by
-``benchmarks/perf_harness.py``.
+the disabled dispatch path is unchanged — the repo benchmark's
+``sim.dispatch_ns_per_event.pure`` (``benchmarks/perf/bench.py``)
+measures it.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ from .core.spec import (
     spec_from_dict,
     spec_to_dict,
 )
-from .kernel import KERNEL_ENV_VAR, compiled_components, resolve_kernel
+from .kernel import compiled_components, requested_kernel, resolve_kernel
 from .metrics.summary import RunSet
 from .obs.ledger import RunLedger, resolve_ledger
 
@@ -578,12 +578,10 @@ def run_grid_report(
     active_kernel = resolve_kernel()
     kernel_name = active_kernel.name
     notices: List[str] = []
-    requested_kernel = (
-        os.environ.get(KERNEL_ENV_VAR) or ""
-    ).strip() or "pure"
-    if requested_kernel != kernel_name:
+    asked_kernel = requested_kernel()
+    if asked_kernel != kernel_name:
         notices.append(
-            f"kernel {requested_kernel!r} unavailable; grid ran "
+            f"kernel {asked_kernel!r} unavailable; grid ran "
             f"{kernel_name!r}"
         )
     report = GridReport(

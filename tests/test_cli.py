@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import io
 import json
 import os
@@ -27,9 +28,15 @@ def _subcommands(parser):
     return list(action.choices)
 
 
+#: every subcommand, in ``repro --help`` order
+COMMANDS = ("run", "grid", "sweep", "worker", "compare", "sweep-strides",
+            "cache", "runs", "report", "list")
+_CHOOSE_FROM = ", ".join(repr(name) for name in COMMANDS)
+
+
 def test_parser_for_one_command_registers_only_that_command():
     everything = build_parser()
-    assert len(_subcommands(everything)) == 11
+    assert _subcommands(everything) == list(COMMANDS)
     grid = build_parser("grid")
     assert _subcommands(grid) == ["grid"]
     # ... and still prints the usage line that names them all
@@ -42,11 +49,13 @@ def test_parser_for_one_command_registers_only_that_command():
     ([], 2, "repro: error: the following arguments are required: command\n"),
     (["bogus"], 2,
      "repro: error: argument command: invalid choice: 'bogus' (choose from "
-     "'run', 'grid', 'sweep', 'worker', 'compare', 'sweep-strides', 'cache', "
-     "'runs', 'perf', 'report', 'list')\n"),
+     f"{_CHOOSE_FROM})\n"),
     (["grid", "--scenario", "x", "--bogus"], 2,
      "repro: error: unrecognized arguments: --bogus\n"),
     (["--help"], 0, ""),
+    (["perf", "trend"], 2,
+     "repro: error: argument command: invalid choice: 'perf' (choose from "
+     f"{_CHOOSE_FROM})\n"),
 ])
 def test_top_level_help_and_errors_name_every_command(argv, code, message,
                                                       capsys):
@@ -55,10 +64,46 @@ def test_top_level_help_and_errors_name_every_command(argv, code, message,
     assert exit_info.value.code == code
     captured = capsys.readouterr()
     everything = build_parser()
+    usage = everything.format_usage()
+    assert "{%s}" % ",".join(COMMANDS) in usage
     if code:
-        assert captured.err == everything.format_usage() + message
+        assert captured.err == usage + message
     else:
         assert captured.out == everything.format_help()
+        listed = [line.split()[0] for line in captured.out.splitlines()
+                  if line.startswith("    ") and line[4] != " "]
+        assert listed == list(COMMANDS)
+
+
+#: sha256 (first 16 hex digits) of ``repro <command> --help`` at 80
+#: columns; after changing a flag on purpose, take the new value from
+#: ``COLUMNS=80 python -m repro <command> --help | sha256sum``
+HELP_DIGESTS = {
+    "run": "4df6c14dda1ad984",
+    "grid": "a7b080e5bf3e53b6",
+    "sweep": "8f1374196706ae29",
+    "worker": "6c2023c7c73569e5",
+    "compare": "b0c2d9b18822f5a5",
+    "sweep-strides": "eacc09ff9d24d551",
+    "cache": "10f2a8cec28611cc",
+    "runs": "bb13850984e3ac6d",
+    "report": "7670377d525012c5",
+    "list": "291eea187c5aa00f",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays help out differently in other "
+                           "Python versions; CI pins 3.11")
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_text_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == HELP_DIGESTS[command], text
 
 
 def test_reader_closing_the_pipe_early_is_a_normal_end(tmp_path):
@@ -232,7 +277,7 @@ def test_list_json():
     assert payload["device"] == ["pixel4", "pixel6"]
 
 
-# -- run ledger / live telemetry / perf trend -------------------------------
+# -- run ledger / live telemetry ---------------------------------------------
 
 
 SMOKE_DOC = {
@@ -354,36 +399,6 @@ def test_sweep_status_renders_progress(capsys):
     ])
     assert code == 0
     assert "2/2" in capsys.readouterr().err
-
-
-def test_perf_trend_render_and_gate(tmp_path):
-    from repro.obs import perf_trend
-
-    path = str(tmp_path / "hist.jsonl")
-    for value in (100.0, 102.0, 98.0, 60.0):  # last entry: a real slide
-        perf_trend.append_history(path, perf_trend.history_record(
-            {"bbr_1c": value}, kernel="pure", quick=False,
-            timestamp=value, cpu_count=4))
-    code, text = run_cli(["perf", "trend", "--history", path])
-    assert code == 0
-    assert "kernel=pure" in text and "bbr_1c" in text
-
-    code, text = run_cli(["perf", "trend", "--history", path,
-                          "--check-regression", "10"])
-    assert code == 1
-    assert "REGRESSION" in text
-
-    code, text = run_cli(["perf", "trend", "--history", path,
-                          "--check-regression", "50"])
-    assert code == 0
-    assert "regression gate: ok" in text
-
-
-def test_perf_trend_missing_history(tmp_path, capsys):
-    code, _ = run_cli(["perf", "trend",
-                       "--history", str(tmp_path / "none.jsonl")])
-    assert code == 2
-    assert "no history entries" in capsys.readouterr().err
 
 
 def test_report_surfaces_meta_notices(tmp_path, capsys):

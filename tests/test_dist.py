@@ -124,6 +124,26 @@ def test_expired_lease_is_reclaimed_but_live_one_is_not(tmp_path):
     assert live.chunk != dead.chunk
 
 
+def test_claimed_but_unstamped_lease_gets_a_full_lease_period(tmp_path):
+    """A poll landing between a claim's rename and its stamp must not
+    republish the chunk; a claimer that died there is still recovered."""
+    queue = TaskQueue(str(tmp_path / "q"))
+    _publish_two(queue)
+    name = queue.chunk_filename(0)
+    lease_path = os.path.join(queue.leases_dir, name)
+    os.replace(os.path.join(queue.tasks_dir, name), lease_path)
+    assert queue.reclaim_expired() == []
+    assert os.path.exists(lease_path)
+    assert queue.stats() == {"tasks": 1, "leases": 1, "done": 0}
+    seen = time.time()
+    assert queue.reclaim_expired(now=seen + 59, lease_s=60) == []
+    assert queue.reclaim_expired(now=seen + 61, lease_s=60) == [name]
+    assert queue.stats() == {"tasks": 2, "leases": 0, "done": 0}
+    # re-claimed and abandoned unstamped again: the period starts afresh
+    os.replace(os.path.join(queue.tasks_dir, name), lease_path)
+    assert queue.reclaim_expired(now=seen + 62, lease_s=60) == []
+
+
 def test_expired_but_completed_lease_is_dropped_not_republished(tmp_path):
     queue = TaskQueue(str(tmp_path / "q"))
     _publish_two(queue)

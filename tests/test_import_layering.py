@@ -37,7 +37,6 @@ DECLARATIVE = {
     "repro.metrics.collector", "repro.metrics.fairness",
     "repro.metrics.report", "repro.metrics.summary",
     "repro.obs.series", "repro.obs.ledger", "repro.obs.live",
-    "repro.obs.perf_trend",
     "repro.dist.queue", "repro.dist.coordinator", "repro.dist.worker",
 }
 

@@ -15,7 +15,8 @@ types refusing instrumentation they cannot honour.
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
+import io
+import json
 import os
 import random
 
@@ -32,7 +33,14 @@ from repro import (
     load_scenario,
     run_experiment,
 )
-from repro.kernel import KERNEL_ENV_VAR, KERNELS, compiled_for, resolve_kernel
+from repro.cli import main
+from repro.kernel import (
+    KERNEL_ENV_VAR,
+    KERNELS,
+    compiled_for,
+    requested_kernel,
+    resolve_kernel,
+)
 from repro.netsim import MEDIA
 from repro.sim import EventLoop, SimulationError
 from repro.tcp.rate_sample import DeliveryRateEstimator
@@ -194,9 +202,16 @@ def test_resolve_kernel_junk_env_fails_fast(kernel_env):
     assert "turbo" in message
 
 
-def test_resolve_kernel_blank_env_means_unset(kernel_env):
+def test_resolve_kernel_blank_env_means_unset(kernel_env, tmp_path):
     kernel_env("   ")
+    assert requested_kernel() == "pure"
     assert resolve_kernel().name == "pure"
+    # ... so an instrumented run has no "pure instead of '   '" to record
+    series = tmp_path / "series.json"
+    assert main(["run", "--duration", "0.4", "--warmup", "0.1", "--profile",
+                 "--probe", "goodput", "--series-out", str(series)],
+                out=io.StringIO()) == 0
+    assert "_meta" not in json.loads(series.read_text())
 
 
 def test_instrumented_run_falls_back_to_pure_with_notice(monkeypatch, capsys):
@@ -481,25 +496,3 @@ def test_kernel_fingerprint_distinguishes_backends():
     assert kernel_fingerprint("compiled") != base
     # deterministic: same input, same derived version
     assert kernel_fingerprint("compiled") == kernel_fingerprint("compiled")
-
-
-# -- perf harness: single-core parallel skip -----------------------------------
-
-
-def _load_perf_harness():
-    path = os.path.join(
-        os.path.dirname(__file__), os.pardir, "benchmarks", "perf_harness.py"
-    )
-    spec = importlib.util.spec_from_file_location("perf_harness", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def test_parallel_scaling_skipped_on_single_core(monkeypatch):
-    """One core: no speedup claim, an explicit skip marker instead."""
-    harness = _load_perf_harness()
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert harness.measure_parallel_scaling(0.2, 0.05) == {
-        "skipped_reason": "single core"
-    }
