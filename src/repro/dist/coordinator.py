@@ -12,7 +12,9 @@ replacing the process pool with the shared-filesystem queue of
   computed result into it, and final assembly reads results back out of
   it. Queue files carry only indices, specs, and statuses — never
   results;
-* the **queue is the control plane**: published chunks, lease-claimed
+* the **queue is the control plane**: published chunks (cut and ordered
+  by :func:`repro.runner.plan_batches`, expensive points first — a
+  chunk id is a dispatch rank, not a grid position), lease-claimed
   chunks, per-chunk completion records, worker heartbeats. The
   coordinator's poll loop re-publishes expired leases, so any worker
   death costs one lease timeout, not the sweep;
@@ -46,7 +48,7 @@ from ..runner import (
     ExperimentGridError,
     GridPointError,
     GridReport,
-    resolve_chunk,
+    plan_batches,
 )
 from .queue import QUEUE_FORMAT_VERSION, TaskQueue
 
@@ -174,7 +176,14 @@ def run_distributed(
     expected worker count), optionally spawns *workers* local
     pull-workers, and polls until every chunk has a completion record —
     re-publishing chunks whose lease expired (*lease_s*) along the way.
-    Results are then read back from the shared cache in grid order.
+    Which points share a chunk, and in what order chunks go out, is
+    :func:`repro.runner.plan_batches`' decision, the same one the process
+    pool uses: chunk 0 holds the points with the highest cost hint, and
+    workers claim the lowest chunk id first, so the expensive points
+    start first. Chunk ids are therefore *not* grid positions; every
+    published point and every completion record carries its grid index,
+    and results are read back from the shared cache by that index, in
+    grid order.
 
     Restartability is the core contract: killing the coordinator (or any
     worker) and re-invoking with the same specs and queue resumes from
@@ -215,15 +224,15 @@ def run_distributed(
 
     digest = grid_digest(specs)
     queue = TaskQueue(queue_dir)
-    chunk_size = resolve_chunk(chunk, points=len(pending),
-                               jobs=max(workers, 1))
+    chunk_size, batches = plan_batches(pending, jobs=max(workers, 1),
+                                       chunk=chunk)
     manifest = {
         "v": QUEUE_FORMAT_VERSION,
         "name": name,
         "grid_digest": digest,
         "total_points": len(specs),
         "pending_points": len(pending),
-        "chunks": -(-len(pending) // chunk_size) if pending else 0,
+        "chunks": len(batches),
         "chunk_size": chunk_size,
         "kernel": resolve_kernel().name,
         "fingerprint": kernel_fingerprint(),
@@ -231,13 +240,11 @@ def run_distributed(
         "created_ts": time.time(),
     }
     queue.prepare(manifest)
-    chunk_ids: List[int] = []
-    for c, k in enumerate(range(0, len(pending), chunk_size)):
-        batch = pending[k : k + chunk_size]
+    for c, batch in enumerate(batches):
         queue.publish(c, [
             {"index": i, "spec": spec_to_dict(spec)} for i, spec in batch
         ])
-        chunk_ids.append(c)
+    chunk_ids = list(range(len(batches)))
     if monitor is not None:
         monitor.chunk = chunk_size
 
@@ -307,7 +314,9 @@ def run_distributed(
     # Assembly: statuses from completion records, results from the cache.
     t_store = time.perf_counter()
     outcome_by_index: Dict[int, Dict[str, Any]] = {}
+    busy_s = 0.0
     for record in queue.done_records().values():
+        busy_s += float(record.get("wall_s", 0.0))
         for point in record.get("points", []):
             outcome_by_index[int(point.get("index", -1))] = point
     total_events = 0
@@ -369,6 +378,7 @@ def run_distributed(
             "dispatch": t_store - t_dispatch,
             "store": t_end - t_store,
         },
+        busy_s=busy_s,
     )
     ledger_store = resolve_ledger(ledger)
     if ledger_store is not None:

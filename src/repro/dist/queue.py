@@ -283,10 +283,13 @@ class TaskQueue:
     def claim(self, worker_id: str, lease_s: float) -> Optional[Task]:
         """Claim the first available task, or ``None`` when none are free.
 
-        The claim is the atomic rename from ``tasks/`` to ``leases/``;
-        losing a race for one file just moves on to the next. The winner
-        immediately stamps the lease file with its id and expiry so the
-        coordinator can tell a live claim from an abandoned one.
+        First means lowest chunk id: the coordinator publishes chunks in
+        dispatch order (expensive points first), and this is where that
+        order takes effect. The claim is the atomic rename from
+        ``tasks/`` to ``leases/``; losing a race for one file just moves
+        on to the next. The winner immediately stamps the lease file with
+        its id and expiry so the coordinator can tell a live claim from
+        an abandoned one.
         """
         for name in self._task_names():
             src = os.path.join(self.tasks_dir, name)

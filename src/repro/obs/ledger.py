@@ -16,7 +16,9 @@ structured manifest record to a JSONL file:
   is still diffable), cache hit/miss/skip and chunk counters, per-point
   :class:`~repro.runner.GridPointError` messages, and aggregate timing
   with its per-phase split (``phase_s``: expand / probe / dispatch /
-  store, see :class:`~repro.runner.GridReport`).
+  store, see :class:`~repro.runner.GridReport`) and the workers' summed
+  per-point wall time (``busy_s``; over ``jobs * phase_s.dispatch`` it
+  is the dispatch balance).
 
 The ledger lives under ``~/.cache/repro-bbr/ledger/`` next to the
 result cache (``REPRO_LEDGER_DIR`` overrides the location,
@@ -243,6 +245,7 @@ def grid_record(
         "errors": len(report.errors),
         "wall_s": report.wall_s,
         "phase_s": dict(report.phase_s),
+        "busy_s": report.busy_s,
         "events": report.total_events,
         "events_per_sec": report.events_per_sec,
     })

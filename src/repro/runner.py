@@ -6,12 +6,13 @@ deterministic simulation — perfect fan-out material. This module runs
 grids through a :class:`concurrent.futures.ProcessPoolExecutor` while
 keeping the three properties the benchmarks rely on:
 
-1. **Determinism** — results come back keyed by grid index, never by
-   completion order, so ``run_grid(specs, jobs=N)`` is element-wise
-   identical to ``jobs=1`` (simulations are seeded; specs cross the
-   process boundary in the exact-round-trip wire format of
-   :mod:`repro.core.scenario`, which transports ints and floats
-   exactly).
+1. **Determinism** — every outcome carries its grid index and results
+   are assembled by that index, never by submission or completion order
+   (the pool is fed heaviest-first, see *Chunked dispatch* below), so
+   ``run_grid(specs, jobs=N)`` is element-wise identical to ``jobs=1``
+   (simulations are seeded; specs cross the process boundary in the
+   exact-round-trip wire format of :mod:`repro.core.scenario`, which
+   transports ints and floats exactly).
 2. **Error isolation** — one failing point becomes a
    :class:`GridPointError` carrying its spec and traceback instead of
    killing the sweep; by default the errors are raised together once
@@ -31,8 +32,13 @@ Two layers sit in front of the pool:
   than one point each, amortizing the per-task IPC round trip on grids
   of many short simulations. The chunk size auto-sizes from the grid
   and worker counts (about :data:`TASKS_PER_WORKER` tasks per worker)
-  and can be pinned via ``REPRO_CHUNK`` or the ``chunk`` argument;
-  ordering and per-point error capture are unaffected.
+  and can be pinned via ``REPRO_CHUNK`` or the ``chunk`` argument.
+  :func:`plan_batches` decides what rides in which task, for the pool
+  here and for the distributed queue (:mod:`repro.dist.coordinator`)
+  alike: points go out in descending :func:`cost_hint` order, so the
+  expensive ones start first and the grid does not end on one worker
+  while the others idle. Result ordering and per-point error capture
+  are unaffected.
 
 The worker count comes from, in order: the ``jobs`` argument, the
 ``REPRO_JOBS`` environment variable, then ``os.cpu_count()``.
@@ -59,6 +65,7 @@ from .cache import ResultCache, resolve_cache
 from .core.spec import (
     ExperimentResult,
     ExperimentSpec,
+    PacingMode,
     ReplicatedResult,
     spec_from_dict,
     spec_to_dict,
@@ -74,6 +81,8 @@ __all__ = [
     "GridPointError",
     "GridReport",
     "ExperimentGridError",
+    "cost_hint",
+    "plan_batches",
     "resolve_jobs",
     "resolve_chunk",
     "resolve_worker_jobs",
@@ -168,11 +177,26 @@ class GridReport:
     #: Carried into the ledger's grid record, so ``repro runs show`` says
     #: where a run's time went without re-running it.
     phase_s: Dict[str, float] = field(default_factory=dict)
+    #: worker wall seconds summed over the computed points: what the
+    #: workers spent simulating inside ``dispatch``; the rest of
+    #: ``jobs * phase_s["dispatch"]`` is spawn, IPC and idle workers
+    busy_s: float = 0.0
 
     @property
     def points(self) -> int:
         """Number of grid points."""
         return len(self.results)
+
+    @property
+    def dispatch_balance(self) -> float:
+        """Share of the workers' dispatch-phase capacity spent on points.
+
+        ``busy_s / (jobs * phase_s["dispatch"])``: 1.0 means no worker
+        ever waited (the serial path is close to it); a grid that ends
+        on one worker while the other sits idle reads about 0.5.
+        """
+        capacity = self.jobs * self.phase_s.get("dispatch", 0.0)
+        return self.busy_s / capacity if capacity > 0 else 0.0
 
     @property
     def events_per_sec(self) -> float:
@@ -293,6 +317,68 @@ def resolve_chunk(
     return chunk
 
 
+def cost_hint(spec: ExperimentSpec) -> float:
+    """Relative host cost of simulating *spec*, read off the spec alone.
+
+    Host time follows the packet count, so the hint is simulated seconds
+    x flows (``connections``, or static flows plus expected churn
+    arrivals over every ``flows`` host), divided by the pacing stride
+    unless pacing is forced off (a stride of N sends N-times larger
+    skbs, so N-times fewer pacing periods and events). It only orders
+    dispatch (:func:`plan_batches`): a wrong hint costs balance, never
+    an answer. A spec too malformed to rate gets 0.0 and fails where
+    every bad point does, in the worker, as a :class:`GridPointError`.
+    """
+    try:
+        if spec.flows:
+            flows = sum(f.count + f.arrival_rate_hz * spec.duration_s
+                        for f in spec.flows)
+        else:
+            flows = spec.connections
+        hint = spec.duration_s * flows
+        if spec.pacing_mode != PacingMode.OFF:
+            hint /= spec.pacing_stride
+        return float(hint)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return 0.0
+
+
+Batch = List[Tuple[int, ExperimentSpec]]
+
+
+def plan_batches(
+    pending: Sequence[Tuple[int, ExperimentSpec]],
+    jobs: int,
+    chunk: Optional[int] = None,
+) -> Tuple[int, List[Batch]]:
+    """The dispatch plan for *pending*: ``(chunk_size, batches)``.
+
+    The one place that decides what rides in which task, for the process
+    pool and the distributed queue alike. Points are ordered by
+    descending :func:`cost_hint` — longest first, the classic list-
+    scheduling rule: started early, an expensive point overlaps the
+    cheap ones instead of running alone at the end — with ties keeping
+    grid order (so a grid of equal hints is sliced exactly in grid
+    order), then cut into batches of :func:`resolve_chunk` points.
+    Batches are meant to be handed out first to last.
+
+    A pure function of its arguments (and ``REPRO_CHUNK``): the same
+    pending list always yields the same batches, which is what lets a
+    resumed sweep republish its missing points the way the first attempt
+    would have. Every item keeps its grid index, so the order here never
+    reaches the results.
+    """
+    chunk_size = resolve_chunk(chunk, points=len(pending), jobs=jobs)
+    # sorted() is stable, also under reverse=True: equal hints stay in
+    # grid order.
+    ordered = sorted(pending, key=lambda item: cost_hint(item[1]),
+                     reverse=True)
+    return chunk_size, [
+        ordered[k : k + chunk_size]
+        for k in range(0, len(ordered), chunk_size)
+    ]
+
+
 #: worker-process progress queue (set by :func:`_init_worker_progress`;
 #: ``None`` keeps the un-monitored hot path at zero extra cost)
 _PROGRESS_QUEUE = None
@@ -314,29 +400,34 @@ def _emit_progress(event: Tuple) -> None:
             pass
 
 
-def _run_point(
-    indexed: Tuple[int, ExperimentSpec],
-) -> Tuple[int, Optional[ExperimentResult], Optional[GridPointError]]:
+#: one point's outcome: grid index, result or error, and the wall seconds
+#: the worker spent on it (summed into :attr:`GridReport.busy_s`)
+Outcome = Tuple[
+    int, Optional[ExperimentResult], Optional[GridPointError], float
+]
+
+
+def _run_point(indexed: Tuple[int, ExperimentSpec]) -> Outcome:
     """Worker body: never raises, so one bad point can't kill the sweep."""
     import traceback
 
     from .core.experiment import run_experiment
 
     index, spec = indexed
+    t0 = time.perf_counter()
     try:
-        return index, run_experiment(spec), None
+        result, error = run_experiment(spec), None
     except Exception as exc:  # noqa: BLE001 - captured per point by design
-        return index, None, GridPointError(
+        result, error = None, GridPointError(
             index=index,
             spec=spec,
             error=f"{type(exc).__name__}: {exc}",
             traceback=traceback.format_exc(),
         )
+    return index, result, error, time.perf_counter() - t0
 
 
-def _run_wire_point(
-    indexed: Tuple[int, dict],
-) -> Tuple[int, Optional[ExperimentResult], Optional[GridPointError]]:
+def _run_wire_point(indexed: Tuple[int, dict]) -> Outcome:
     """Worker body for pool workers: specs arrive as wire dicts.
 
     Specs cross the process boundary in the declarative wire format
@@ -357,20 +448,16 @@ def _run_wire_point(
     from .obs.live import progress_done, progress_error, progress_start
 
     _emit_progress(progress_start(index, spec.label()))
-    t0 = time.perf_counter()
     outcome = _run_point((index, spec))
-    _, result, error = outcome
+    _, result, error, wall_s = outcome
     if error is None:
-        _emit_progress(progress_done(
-            index, result.events_processed, time.perf_counter() - t0))
+        _emit_progress(progress_done(index, result.events_processed, wall_s))
     else:
         _emit_progress(progress_error(index, error.error))
     return outcome
 
 
-def _run_wire_chunk(
-    batch: List[Tuple[int, dict]],
-) -> List[Tuple[int, Optional[ExperimentResult], Optional[GridPointError]]]:
+def _run_wire_chunk(batch: List[Tuple[int, dict]]) -> List[Outcome]:
     """Worker body for chunked dispatch: one task, many wire points.
 
     Each point keeps its own try/except (via :func:`_run_wire_point`),
@@ -378,9 +465,6 @@ def _run_wire_chunk(
     :class:`GridPointError` and its batchmates still run.
     """
     return [_run_wire_point(item) for item in batch]
-
-
-Outcome = Tuple[int, Optional[ExperimentResult], Optional[GridPointError]]
 
 
 def _run_pending_serial(
@@ -395,12 +479,11 @@ def _run_pending_serial(
     outcomes: List[Outcome] = []
     for index, spec in pending:
         monitor.record(progress_start(index, spec.label()))
-        t0 = time.perf_counter()
         outcome = _run_point((index, spec))
-        _, result, error = outcome
+        _, result, error, wall_s = outcome
         if error is None:
             monitor.record(progress_done(
-                index, result.events_processed, time.perf_counter() - t0))
+                index, result.events_processed, wall_s))
         else:
             monitor.record(progress_error(index, error.error))
         outcomes.append(outcome)
@@ -418,8 +501,10 @@ def run_grid_report(
 ) -> GridReport:
     """Run every spec and return results (grid order) plus timing data.
 
-    ``jobs`` > 1 fans points across a process pool; results are ordered
-    by grid index regardless of completion order. Failed points appear
+    ``jobs`` > 1 fans points across a process pool in the order
+    :func:`plan_batches` gives (heaviest first; the serial path runs
+    them in grid order); results are ordered by grid index regardless
+    of submission or completion order. Failed points appear
     as :class:`GridPointError` entries in ``results`` (and in
     ``errors``); with *raise_on_error* they are raised as one
     :class:`ExperimentGridError` after the whole grid has run, so a
@@ -459,7 +544,7 @@ def run_grid_report(
         for i, spec in enumerate(specs):
             hit = store.get(spec)
             if hit is not None:
-                slots[i] = (i, hit, None)
+                slots[i] = (i, hit, None, 0.0)
                 cache_hits += 1
                 hit_indices.append(i)
                 if monitor is not None:
@@ -483,7 +568,7 @@ def run_grid_report(
 
         from .core import experiment  # noqa: F401
 
-        chunk_size = resolve_chunk(chunk, points=len(pending), jobs=jobs)
+        chunk_size, plan = plan_batches(pending, jobs, chunk)
         if monitor is not None:
             monitor.chunk = chunk_size
         progress_queue = None
@@ -491,9 +576,9 @@ def run_grid_report(
         try:
             # Workers receive serialized spec dicts, not pickled specs,
             # batched chunk_size to a task to amortize the IPC round trip.
-            wire = [(i, spec_to_dict(spec)) for i, spec in pending]
             batches = [
-                wire[k : k + chunk_size] for k in range(0, len(wire), chunk_size)
+                [(i, spec_to_dict(spec)) for i, spec in batch]
+                for batch in plan
             ]
             pool_kwargs = {}
             if monitor is not None:
@@ -530,7 +615,9 @@ def run_grid_report(
                     "initargs": (progress_queue,),
                 }
             with ProcessPoolExecutor(max_workers=jobs, **pool_kwargs) as pool:
-                # map() yields in submission order == grid order.
+                # map() submits and yields in the plan's order, which is
+                # not grid order: every outcome carries its index and is
+                # slotted by it below.
                 outcomes = [
                     outcome
                     for batch in pool.map(_run_wire_chunk, batches)
@@ -552,8 +639,11 @@ def run_grid_report(
     store_start = time.perf_counter()
     cache_misses = cache_skipped = 0
     total_events = 0
-    for index, result, error in outcomes:
-        slots[index] = (index, result, error)
+    busy_s = 0.0
+    for outcome in outcomes:
+        index, result, error, wall_s = outcome
+        slots[index] = outcome
+        busy_s += wall_s
         if error is None:
             total_events += result.events_processed
             if store is not None:
@@ -567,7 +657,7 @@ def run_grid_report(
     errors: List[GridPointError] = []
     for i, slot in enumerate(slots):
         assert slot is not None and slot[0] == i, "grid ordering violated"
-        _, result, error = slot
+        _, result, error, _ = slot
         if error is not None:
             errors.append(error)
             results.append(error)
@@ -605,6 +695,7 @@ def run_grid_report(
             "dispatch": (store_start - dispatch_start) if pending else 0.0,
             "store": end - store_start,
         },
+        busy_s=busy_s,
     )
     # The manifest is appended even when the grid is about to raise:
     # the ledger records what ran, including its failures.

@@ -41,7 +41,7 @@ from repro.dist import (
 from repro.dist.worker import WorkerError
 from repro.obs.ledger import RunLedger, merge_ledgers
 from repro.obs.live import DistMonitor
-from repro.runner import JOBS_ENV_VAR
+from repro.runner import JOBS_ENV_VAR, plan_batches
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -241,6 +241,55 @@ def test_distributed_resume_recomputes_nothing(tmp_path):
         assert a.scalar_metrics() == b.scalar_metrics()
 
 
+# -- dispatch order ----------------------------------------------------------
+
+
+def _published_chunks(specs, queue_dir, cache, chunk):
+    """Publish with nobody listening, then drain the queue the way a
+    worker would: the grid indices of each chunk, in claim order."""
+    with pytest.raises(DistributedSweepError, match="did not complete"):
+        run_distributed(
+            specs, queue_dir, cache=cache, workers=0, chunk=chunk,
+            lease_s=30, poll_s=0.01, wait_timeout_s=0.0, ledger=False,
+            name="t",
+        )
+    queue = TaskQueue(queue_dir)
+    chunks = []
+    while True:
+        task = queue.claim("drain", lease_s=60)
+        if task is None:
+            return chunks
+        assert task.chunk == len(chunks)  # lowest chunk id first
+        chunks.append([int(p["index"]) for p in task.points])
+
+
+def test_chunk_zero_holds_the_heaviest_points(tmp_path):
+    # connections ascending: grid order would publish the cheapest first
+    specs = [_quick(connections=n, seed=s) for n in (1, 2, 8) for s in (1, 2)]
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    chunks = _published_chunks(specs, str(tmp_path / "queue"), cache, chunk=2)
+    assert chunks == [[4, 5], [2, 3], [0, 1]]
+    pending = list(enumerate(specs))
+    assert chunks == [[i for i, _ in batch]
+                      for batch in plan_batches(pending, 1, 2)[1]]
+    manifest = TaskQueue(str(tmp_path / "queue")).read_manifest()
+    assert manifest["chunks"] == 3 and manifest["chunk_size"] == 2
+
+
+def test_resumed_sweep_republishes_only_missing_points_in_plan_order(tmp_path):
+    specs = [_quick(connections=n, seed=s) for n in (1, 2, 8) for s in (1, 2)]
+    cache = ResultCache(root=str(tmp_path / "cache"))
+    queue_dir = str(tmp_path / "queue")
+    # the interrupted first attempt got as far as points 4 and 1
+    run_grid_report([specs[4], specs[1]], jobs=1, cache=cache, ledger=False)
+    first = _published_chunks(specs, queue_dir, cache, chunk=2)
+    assert first == [[5, 2], [3, 0]]
+    # re-issuing the sweep sweeps the stale tasks and publishes the same
+    # plan again: chunk ids mean the same points on every attempt
+    assert _published_chunks(specs, queue_dir, cache, chunk=2) == first
+    assert TaskQueue(queue_dir).read_manifest()["pending_points"] == 4
+
+
 def test_distributed_requires_a_cache(tmp_path):
     with pytest.raises(ValueError, match="shared result cache"):
         run_distributed([_quick()], str(tmp_path / "queue"), cache=False)
@@ -434,6 +483,10 @@ def test_distributed_journal_lands_in_coordinator_ledger(tmp_path):
     assert dist["queue"] == str(tmp_path / "queue")
     assert len(dist["workers"]) == 1
     assert dist["reclaims"] == 0
+    # busy_s is the sum of the completion records' wall_s: one worker
+    # cannot have been busier than the dispatch phase was long
+    assert record["busy_s"] == report.busy_s > 0.0
+    assert 0.0 < report.dispatch_balance <= 1.0
 
 
 # -- live telemetry ----------------------------------------------------------
